@@ -411,6 +411,10 @@ where
     /// Time of the last emitted [`PoolSample`] (avoids a duplicate when
     /// the end-of-run sample lands exactly on the grid).
     last_sample_t: f64,
+    /// Test switch: expand every batch into scheduled `Arrival` events,
+    /// the reference the in-place path is compared against.
+    #[cfg(test)]
+    schedule_every_batch: bool,
 }
 
 /// Warm per-thread simulation storage recycled between consecutive
@@ -554,6 +558,8 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
             ts,
             probe,
             last_sample_t: f64::NEG_INFINITY,
+            #[cfg(test)]
+            schedule_every_batch: false,
             cfg,
         };
         let backend = world.cfg.fel_backend;
@@ -888,6 +894,19 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
         }
     }
 
+    /// Replaces the released run with the next one off the workload and
+    /// schedules its `Batch` event.
+    fn pull_batch_run(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
+        self.pending.clear();
+        let run = self.cfg.arrival_run.max(1) as usize;
+        let n = self
+            .workload
+            .next_batch_run(&mut self.rng_arrivals, run, &mut self.pending);
+        if n > 0 {
+            sched.at(self.pending[0].time.max(now), Event::Batch);
+        }
+    }
+
     fn handle_arrival(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
         self.metrics.offered += 1;
         self.window_arrivals += 1;
@@ -1119,6 +1138,25 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W,
                 // and the concatenation stays monotone.
                 debug_assert!(!self.pending.is_empty(), "batch event without batches");
                 debug_assert!(self.pending[0].time <= now);
+                // A lone zero-spread batch with nothing else due at
+                // `now` is served in place: its `count` arrivals would
+                // be scheduled at `now` behind every pending event and
+                // pop back to back, so handling them here — after the
+                // next `Batch` is scheduled, as the scheduled path does
+                // before they pop — is the same run under (time, id)
+                // order, minus `count` FEL round trips.
+                let in_place = matches!(self.pending.as_slice(), [b] if b.spread == 0.0)
+                    && sched.next_time().is_none_or(|t| t > now);
+                #[cfg(test)]
+                let in_place = in_place && !self.schedule_every_batch;
+                if in_place {
+                    let count = self.pending[0].count;
+                    self.pull_batch_run(now, sched);
+                    for _ in 0..count {
+                        self.handle_arrival(now, sched);
+                    }
+                    return;
+                }
                 let mut times = std::mem::take(&mut self.arrival_times);
                 times.clear();
                 for b in &self.pending {
@@ -1137,14 +1175,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W,
                 }
                 sched.at_run(&times, Event::Arrival);
                 self.arrival_times = times;
-                self.pending.clear();
-                let run = self.cfg.arrival_run.max(1) as usize;
-                let n =
-                    self.workload
-                        .next_batch_run(&mut self.rng_arrivals, run, &mut self.pending);
-                if n > 0 {
-                    sched.at(self.pending[0].time.max(now), Event::Batch);
-                }
+                self.pull_batch_run(now, sched);
             }
             Event::Booted { slot } => {
                 // Scale-downs withdraw the boot timer when they cancel a
@@ -1688,5 +1719,104 @@ mod tests {
         assert!(s.vm_creation_failures > 0);
         // Overflow traffic is rejected, not lost.
         assert!(s.rejection_rate > 0.3);
+    }
+
+    /// A fixed-size policy that logs every monitor window it observes.
+    struct WindowLog {
+        size: u32,
+        windows: Arc<std::sync::Mutex<Vec<(f64, u64)>>>,
+    }
+
+    impl ProvisioningPolicy for WindowLog {
+        fn name(&self) -> String {
+            "WindowLog".into()
+        }
+        fn initial_instances(&self) -> u32 {
+            self.size
+        }
+        fn evaluate(&mut self, _status: &PoolStatus) -> u32 {
+            self.size
+        }
+        fn next_evaluation(&self, now: SimTime) -> SimTime {
+            now + 30.0
+        }
+        fn queue_capacity(&self, monitored_service_time: f64) -> u32 {
+            QosTargets::new(monitored_service_time * 2.5, 0.0, 0.8)
+                .queue_capacity(monitored_service_time)
+        }
+        fn observe_arrivals(&mut self, window_end: SimTime, arrivals: u64, _len: f64) {
+            let mut log = self.windows.lock().unwrap();
+            log.push((window_end.as_secs(), arrivals));
+        }
+    }
+
+    /// Every admission decision in order: `(time, Some(slot))` or
+    /// `(time, None)` for a rejection.
+    #[derive(Default)]
+    struct AdmissionLog(Vec<(f64, Option<u32>)>);
+
+    impl Probe for AdmissionLog {
+        fn on_admit(&mut self, now: SimTime, slot: u32, _queue_len: u32) {
+            self.0.push((now.as_secs(), Some(slot)));
+        }
+        fn on_reject(&mut self, now: SimTime, _class: RequestClass, _reason: RejectReason) {
+            self.0.push((now.as_secs(), None));
+        }
+    }
+
+    #[test]
+    fn in_place_batches_match_scheduled_arrivals_at_tick_ties() {
+        // Zero-spread bursts on the 10 s monitor / 30 s evaluate grid,
+        // each overflowing a 2-instance pool. Batch(30) is scheduled at
+        // t = 5, before Monitor(30) is (at t = 20), so it pops while that
+        // tick is still due at 30 and must take the scheduled path;
+        // Batch(40) is scheduled at t = 32, after Monitor(40), so it pops
+        // last at its instant and is served in place, as is the second
+        // batch at 40. Both runs must make every decision identically.
+        let burst = |t: f64, count: u64| ArrivalBatch {
+            time: SimTime::from_secs(t),
+            count,
+            spread: 0.0,
+        };
+        let trace = vmprov_workloads::Trace::new(vec![
+            burst(5.0, 6),
+            burst(30.0, 9),
+            burst(32.0, 4),
+            burst(40.0, 12),
+            burst(40.0, 3),
+            burst(55.5, 7),
+            burst(60.0, 5),
+        ])
+        .unwrap();
+        let run = |schedule_every_batch: bool| {
+            let windows = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut engine = CloudSim::engine_with_probe(
+                small_config(),
+                trace.clone().replay(),
+                ServiceModel::new(1.5, 0.5),
+                Box::new(WindowLog {
+                    size: 2,
+                    windows: Arc::clone(&windows),
+                }),
+                RoundRobin::new(),
+                &RngFactory::new(61),
+                AdmissionLog::default(),
+            );
+            engine.world_mut().schedule_every_batch = schedule_every_batch;
+            let (summary, probe) = run_engine(engine);
+            let windows = windows.lock().unwrap().clone();
+            (summary, probe.0, windows)
+        };
+        let in_place = run(false);
+        let scheduled = run(true);
+        assert_eq!(in_place, scheduled);
+        let (summary, admissions, windows) = in_place;
+        assert_eq!(summary.offered_requests, 46);
+        assert!(summary.rejected_requests > 0, "bursts must overflow");
+        assert_eq!(admissions.len(), 46);
+        // The tick at 30 ran before that instant's burst, the tick at 40
+        // before the bursts at 40.
+        assert!(windows.contains(&(30.0, 0)), "{windows:?}");
+        assert!(windows.contains(&(40.0, 13)), "{windows:?}");
     }
 }

@@ -123,6 +123,14 @@ impl<'a, E> Scheduler<'a, E> {
         self.now
     }
 
+    /// Time of the earliest pending event (including ones scheduled by
+    /// this handler), if any — e.g. to tell whether anything else is due
+    /// at the current instant.
+    #[inline]
+    pub fn next_time(&mut self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// Number of pending events (including ones scheduled by this handler).
     #[inline]
     pub fn pending(&self) -> usize {
@@ -231,6 +239,13 @@ impl<W: World> Engine<W> {
         let Some((time, event)) = self.queue.pop() else {
             return false;
         };
+        self.dispatch(time, event);
+        true
+    }
+
+    /// Advances the clock to a popped event and hands it to the world.
+    #[inline]
+    fn dispatch(&mut self, time: SimTime, event: W::Event) {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.steps += 1;
@@ -239,7 +254,6 @@ impl<W: World> Engine<W> {
             now: self.now,
         };
         self.world.handle(time, event, &mut sched);
-        true
     }
 
     /// Runs until the event queue drains. Returns events processed.
@@ -254,11 +268,8 @@ impl<W: World> Engine<W> {
     /// clock is advanced to `end` on return. Returns events processed.
     pub fn run_until(&mut self, end: SimTime) -> u64 {
         let start = self.steps;
-        while let Some(t) = self.queue.peek_time() {
-            if t > end {
-                break;
-            }
-            self.step();
+        while let Some((time, event)) = self.queue.pop_not_after(end) {
+            self.dispatch(time, event);
         }
         if self.now < end {
             self.now = end;

@@ -119,13 +119,12 @@ impl<E> HeapFel<E> {
         self.heap.push(HeapEntry { time, id, event });
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(e) = self.heap.pop() {
-            if self.cancelled.is_empty() || !self.cancelled.remove(&e.id) {
-                return Some((e.time, e.event));
-            }
+    fn pop_not_after(&mut self, end: f64) -> Option<(SimTime, E)> {
+        if self.peek_time()?.as_secs() > end {
+            return None;
         }
-        None
+        let e = self.heap.pop().expect("peeked a live entry");
+        Some((e.time, e.event))
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
@@ -404,8 +403,11 @@ impl<E> Calendar<E> {
         self.locate_min().map(|p| (p.time, p.id))
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    fn pop_not_after(&mut self, end: f64) -> Option<(SimTime, E)> {
         let p = self.locate_min()?;
+        if p.time > end {
+            return None;
+        }
         self.peek = None;
         let entry = self.buckets[p.bucket].swap_remove(p.index);
         self.len -= 1;
@@ -786,29 +788,44 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let run_head = if self.runs.is_empty() {
-            None
-        } else {
-            self.earliest_run()
-        };
-        let take_run = match (&mut self.fel, run_head) {
-            (Fel::Calendar(c), Some((rk, _))) => !c.peek_key().is_some_and(|ck| ck < rk),
-            (_, Some(_)) => true, // heap never stages runs
-            (_, None) => false,
-        };
-        let popped = if take_run {
-            let (_, ri) = run_head.expect("take_run implies a run head");
-            Some(self.pop_run(ri))
-        } else {
+        self.pop_bounded(f64::INFINITY)
+    }
+
+    /// Removes and returns the earliest event if it fires at or before
+    /// `end`; otherwise leaves the queue untouched and returns `None`.
+    ///
+    /// One merge of the staged runs against the calendar head per call —
+    /// the bounded loop of [`Engine::run_until`](crate::Engine::run_until)
+    /// without a separate [`peek_time`](Self::peek_time) before each pop.
+    #[inline]
+    pub fn pop_not_after(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        self.pop_bounded(end.as_secs())
+    }
+
+    #[inline]
+    fn pop_bounded(&mut self, end: f64) -> Option<(SimTime, E)> {
+        let popped = if self.runs.is_empty() {
             match &mut self.fel {
-                Fel::Heap(h) => h.pop(),
-                Fel::Calendar(c) => c.pop(),
+                Fel::Heap(h) => h.pop_not_after(end)?,
+                Fel::Calendar(c) => c.pop_not_after(end)?,
+            }
+        } else {
+            let run_head = self.earliest_run();
+            let Fel::Calendar(c) = &mut self.fel else {
+                unreachable!("runs stage only on the calendar backend")
+            };
+            match run_head {
+                Some(((t, id), ri)) if c.peek_key().is_none_or(|ck| ck >= (t, id)) => {
+                    if t > end {
+                        return None;
+                    }
+                    self.pop_run(ri)
+                }
+                _ => c.pop_not_after(end)?,
             }
         };
-        if popped.is_some() {
-            self.live -= 1;
-        }
-        popped
+        self.live -= 1;
+        Some(popped)
     }
 
     /// Timestamp of the earliest pending event.
@@ -1140,6 +1157,41 @@ mod tests {
         q.schedule_run(&times, ());
         assert_eq!(q.len(), 32);
         assert_eq!(q.pop(), Some((t(0.0), ())));
+    }
+
+    #[test]
+    fn bounded_pop_equals_peek_then_pop() {
+        // `pop_not_after(end)` must pop exactly what a peek-then-pop
+        // loop pops, in the same (time, id) order, and leave the rest:
+        // singles, staged runs, ties at the bound, and cancellations.
+        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+            let fill = || {
+                let mut q = EventQueue::with_backend(backend);
+                let run: Vec<SimTime> = (0..20).map(|i| t(i as f64 * 0.5)).collect();
+                q.schedule_run(&run, 100);
+                for i in 0..30u32 {
+                    q.schedule(t(f64::from(i % 12)), i);
+                }
+                let h = q.schedule(t(3.0), 999);
+                assert!(q.cancel(h));
+                q.schedule_run(&run, 200);
+                q
+            };
+            let (mut bounded, mut reference) = (fill(), fill());
+            for end in [-1.0, 0.0, 2.5, 4.0, 4.0, 9.5, 100.0] {
+                let mut got = Vec::new();
+                while let Some(e) = bounded.pop_not_after(t(end)) {
+                    got.push(e);
+                }
+                let mut want = Vec::new();
+                while reference.peek_time().is_some_and(|p| p <= t(end)) {
+                    want.push(reference.pop().unwrap());
+                }
+                assert_eq!(got, want, "{backend:?} up to {end}");
+                assert_eq!(bounded.len(), reference.len());
+            }
+            assert!(bounded.is_empty(), "{backend:?}");
+        }
     }
 
     #[test]

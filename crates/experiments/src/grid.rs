@@ -38,7 +38,7 @@ use crate::scenario::{AnalyzerSpec, PolicySpec, Scenario};
 use vmprov_cloudsim::{RunSummary, StatsMode};
 use vmprov_des::FelBackend;
 use vmprov_json::{Json, ToJson};
-use vmprov_workloads::{trace_file_opens, TraceSpec};
+use vmprov_workloads::TraceSpec;
 
 /// Hard cap on cells per scan wave (= dedicated pool width). Beyond
 /// this the grid splits into waves of one scan each — still far cheaper
@@ -95,8 +95,9 @@ pub struct GridStats {
     /// Batches decoded across all waves — `batches × scan_waves` when
     /// nothing was cached, i.e. each wave decoded the trace once.
     pub batches_decoded: u64,
-    /// Trace file opens during grid execution (the exactly-once probe:
-    /// equals `scan_waves`, never the cell count).
+    /// Trace file opens during grid execution, counted on this run's
+    /// own copy of the spec (the exactly-once probe: equals
+    /// `scan_waves`, never the cell count).
     pub trace_file_opens: u64,
     /// High-water mark of the shared chunk window across waves (≤
     /// [`vmprov_workloads::SCAN_DEPTH`] — the backpressure invariant).
@@ -156,7 +157,13 @@ impl ReplayGrid {
     /// single-run `repro replay` path builds, so cache keys (and hence
     /// warm-grid hits against single-run entries) line up exactly.
     pub fn cell_scenario(&self, analyzer: AnalyzerSpec) -> Scenario {
-        let mut s = Scenario::trace_replay(self.spec.clone(), PolicySpec::Adaptive, self.seed)
+        self.scenario_on(&self.spec, analyzer)
+    }
+
+    /// [`cell_scenario`](Self::cell_scenario) over a given copy of the
+    /// spec (the grid run's own open counter).
+    fn scenario_on(&self, spec: &TraceSpec, analyzer: AnalyzerSpec) -> Scenario {
+        let mut s = Scenario::trace_replay(spec.clone(), PolicySpec::Adaptive, self.seed)
             .with_analyzer(analyzer)
             .with_shards(self.shards)
             .with_stats_mode(self.stats);
@@ -172,7 +179,9 @@ impl ReplayGrid {
         assert!(!self.analyzers.is_empty(), "a grid needs ≥ 1 analyzer");
         assert!(self.reps >= 1, "a grid needs ≥ 1 replication");
         let start = Instant::now();
-        let opens_before = trace_file_opens();
+        // Every open this run makes — the shared scans, and any cell
+        // that opened the file itself — lands on this copy's counter.
+        let spec = self.spec.with_fresh_open_count();
         let n_cells = self.analyzers.len() * self.reps as usize;
 
         // Cache pass, analyzer-major / rep-minor (the output layout).
@@ -181,7 +190,7 @@ impl ReplayGrid {
         let mut hits = 0usize;
         let mut corrupt = 0usize;
         for &analyzer in &self.analyzers {
-            let scenario = self.cell_scenario(analyzer);
+            let scenario = self.scenario_on(&spec, analyzer);
             for rep in 0..self.reps {
                 let slot = slots.len();
                 let cached = cache.map(|c| c.lookup(run_key(&scenario, rep)));
@@ -221,8 +230,7 @@ impl ReplayGrid {
         while !queue.is_empty() {
             let rest = queue.split_off(queue.len().min(wave_cap));
             let wave = std::mem::replace(&mut queue, rest);
-            let (scan, replays) = self
-                .spec
+            let (scan, replays) = spec
                 .replay_shared(wave.len())
                 .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
             let jobs: Vec<_> = wave
@@ -281,7 +289,7 @@ impl ReplayGrid {
                 corrupt_entries: corrupt,
                 scan_waves: waves,
                 batches_decoded,
-                trace_file_opens: trace_file_opens() - opens_before,
+                trace_file_opens: spec.opens.get(),
                 max_window,
                 peak_rss_kb: peak_rss_kb(),
                 wall: start.elapsed(),

@@ -737,6 +737,7 @@ mod tests {
             end_time: SimTime::from_secs(600.0),
             mean_rate: 200.0,
             chunk: 8192,
+            opens: Default::default(),
         }
     }
 

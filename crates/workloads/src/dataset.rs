@@ -21,16 +21,18 @@
 //! through ref-counted chunk handles with a bounded window
 //! ([`SCAN_DEPTH`]), so an analyzer × replication grid over one trace
 //! parses it exactly once (build one via
-//! [`TraceSpec::replay_shared`]; the [`trace_file_opens`] counter is
-//! the probe that asserts the exactly-once property end to end).
+//! [`TraceSpec::replay_shared`]; the spec's [`OpenCount`] is the probe
+//! that asserts the exactly-once property end to end).
 //!
 //! External files are validated **up front** by [`TraceSpec::scan`],
-//! which streams the file once to check it parses end to end and to
-//! compute the content hash (the run-cache key component), request
-//! totals, and the mean arrival rate. Scan-time errors are line-numbered
-//! [`DatasetError`]s, never panics. A reader error *during* the
-//! simulation — after a successful scan — means the file changed
-//! underneath the run, and `StreamReplay` treats that as fatal.
+//! which streams the file once to check it parses end to end and, in
+//! the same pass, to compute the content hash (the run-cache key
+//! component), request totals, and the mean arrival rate. Rows decode
+//! in place out of the read buffer, with a general path for everything
+//! that is not a plain row (see [`CsvReader`]). Scan-time errors are
+//! line-numbered [`DatasetError`]s, never panics. A reader error
+//! *during* the simulation — after a successful scan — means the file
+//! changed underneath the run, and `StreamReplay` treats that as fatal.
 
 use crate::trace::Trace;
 use crate::traits::{ArrivalBatch, ArrivalProcess};
@@ -42,17 +44,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use vmprov_des::{SimRng, SimTime, StableHasher};
-
-/// Process-wide count of trace files opened for parsing — the probe the
-/// shared-scan grid uses to *assert* it decoded the trace exactly once
-/// (one [`CsvReader::open`] per scan wave, however many grid cells
-/// consume it). Monotonic; callers measure deltas around a phase.
-static TRACE_FILE_OPENS: AtomicU64 = AtomicU64::new(0);
-
-/// Reads the [`CsvReader::open`] counter (see [`TRACE_FILE_OPENS`]).
-pub fn trace_file_opens() -> u64 {
-    TRACE_FILE_OPENS.load(Ordering::SeqCst)
-}
 
 /// A trace-ingestion failure, with the 1-based source line when the
 /// failure is attributable to one.
@@ -118,21 +109,39 @@ pub trait DatasetReader: Send {
 /// timestamps are a *parse error* (streaming cannot sort), as are
 /// truncated rows, non-finite or negative values, all reported with
 /// their line number.
+///
+/// **Two paths, one contract.** A *plain* row — 2 or 3 comma-separated
+/// fields of printable ASCII (`0x21..=0x7E`), ending in `\n` or `\r\n`
+/// inside the reader's buffer, every field parsing, the values in range
+/// and in order — is decoded in place straight out of the `BufRead`
+/// buffer: no copy into a line `String`, no UTF-8 pass, no
+/// `split`/`trim`. Every other line (header, comment, blank, any other
+/// whitespace or non-ASCII byte, 1 or 4+ fields, a field that does not
+/// parse, a negative, non-finite or out-of-order value, a row
+/// straddling the buffer end or lacking its newline) goes to the
+/// general path, `read_line` then `parse_line`, which handles
+/// everything. On a plain row `trim` only drops the line ending and
+/// both paths call `str::parse` on the same field bytes, so accepted
+/// values are bit-identical, and every error keeps its line number and
+/// message: only the general path produces errors.
 pub struct CsvReader<R> {
     input: R,
     line: u64,
     last_time: f64,
+    /// Line buffer of the general path (untouched while rows are plain).
     buf: String,
 }
 
 impl CsvReader<BufReader<File>> {
     /// Opens a CSV trace file.
     pub fn open(path: &Path) -> Result<Self, DatasetError> {
-        let file = File::open(path)
-            .map_err(|e| DatasetError::io(format!("cannot open {}: {e}", path.display())))?;
-        TRACE_FILE_OPENS.fetch_add(1, Ordering::SeqCst);
-        Ok(CsvReader::new(BufReader::new(file)))
+        Ok(CsvReader::new(BufReader::new(open_trace(path)?)))
     }
+}
+
+/// Opens a trace file, mapping failure to the one `cannot open` error.
+fn open_trace(path: &Path) -> Result<File, DatasetError> {
+    File::open(path).map_err(|e| DatasetError::io(format!("cannot open {}: {e}", path.display())))
 }
 
 impl<R: BufRead> CsvReader<R> {
@@ -144,6 +153,11 @@ impl<R: BufRead> CsvReader<R> {
             last_time: 0.0,
             buf: String::new(),
         }
+    }
+
+    /// Unwraps the reader, returning the underlying input.
+    pub fn into_inner(self) -> R {
+        self.input
     }
 
     /// Parses the current `self.buf` into a batch, or `None` for
@@ -201,6 +215,74 @@ impl<R: BufRead> CsvReader<R> {
     }
 }
 
+/// Decodes one plain row off the front of `bytes` (see [`CsvReader`]),
+/// returning its length including the line ending and the batch; `None`
+/// sends the line to the general path. The field boundaries are found
+/// first, so a line that is not plain (a space, a tab, a fifth field)
+/// is given up after a byte scan, before any number is parsed. Header
+/// and comment lines need no test of their own: `time…` and `#…` never
+/// parse as a number.
+#[inline]
+fn plain_row(bytes: &[u8], last_time: f64) -> Option<(usize, ArrivalBatch)> {
+    let time_end = field_end(bytes, 0)?;
+    if bytes[time_end] != b',' {
+        return None; // one field
+    }
+    let count_end = field_end(bytes, time_end + 1)?;
+    let mut end = count_end;
+    if bytes[end] == b',' {
+        end = field_end(bytes, end + 1)?;
+    }
+    // `\n` or `\r\n` (the general path's `trim` drops the `\r`); a `,`
+    // here is a fourth field.
+    let len = match bytes[end] {
+        b'\n' => end + 1,
+        b'\r' if bytes.get(end + 1) == Some(&b'\n') => end + 2,
+        _ => return None,
+    };
+    let time: f64 = parse_str(&bytes[..time_end])?;
+    let count = parse_str(&bytes[time_end + 1..count_end])?;
+    let spread: f64 = if end > count_end {
+        parse_str(&bytes[count_end + 1..end])?
+    } else {
+        0.0
+    };
+    let valid =
+        time.is_finite() && time >= 0.0 && spread.is_finite() && spread >= 0.0 && time >= last_time;
+    valid.then(|| {
+        (
+            len,
+            ArrivalBatch {
+                time: SimTime::from_secs(time),
+                count,
+                spread,
+            },
+        )
+    })
+}
+
+/// Index of the `,`, `\r` or `\n` ending the field that starts at `i`,
+/// if the bytes before it are printable ASCII (`0x21..=0x7E`).
+#[inline]
+fn field_end(bytes: &[u8], mut i: usize) -> Option<usize> {
+    loop {
+        match *bytes.get(i)? {
+            b',' | b'\r' | b'\n' => return Some(i),
+            0x21..=0x7e => i += 1,
+            _ => return None,
+        }
+    }
+}
+
+/// `str::parse` of a field that [`field_end`] checked to be printable
+/// ASCII.
+#[inline]
+fn parse_str<T: std::str::FromStr>(field: &[u8]) -> Option<T> {
+    // SAFETY: callers pass only fields whose bytes all lie in
+    // 0x21..=0x7E (`field_end` checked them), and ASCII is valid UTF-8.
+    unsafe { std::str::from_utf8_unchecked(field) }.parse().ok()
+}
+
 impl<R: BufRead + Send> DatasetReader for CsvReader<R> {
     fn read_chunk(
         &mut self,
@@ -209,6 +291,31 @@ impl<R: BufRead + Send> DatasetReader for CsvReader<R> {
     ) -> Result<usize, DatasetError> {
         let mut appended = 0;
         while appended < max {
+            let avail = self
+                .input
+                .fill_buf()
+                .map_err(|e| DatasetError::at(self.line + 1, format!("read failed: {e}")))?;
+            if avail.is_empty() {
+                break; // EOF
+            }
+            // Plain rows, decoded in place until the chunk fills, the
+            // buffer drains, or a line needs the general path.
+            let mut used = 0;
+            while appended < max {
+                let Some((len, batch)) = plain_row(&avail[used..], self.last_time) else {
+                    break;
+                };
+                used += len;
+                self.line += 1;
+                self.last_time = batch.time.as_secs();
+                out.push(batch);
+                appended += 1;
+            }
+            let drained = used == avail.len();
+            self.input.consume(used);
+            if drained || appended == max {
+                continue;
+            }
             self.buf.clear();
             let n = self
                 .input
@@ -224,6 +331,23 @@ impl<R: BufRead + Send> DatasetReader for CsvReader<R> {
             }
         }
         Ok(appended)
+    }
+}
+
+/// A `Read` adapter that hashes every byte it passes through, so
+/// [`TraceSpec::scan`] computes the content hash in the same pass that
+/// parses the rows. FNV-1a is byte-serial, so the digest does not depend
+/// on how the reads are chunked.
+struct HashingRead<R> {
+    inner: R,
+    hasher: StableHasher,
+}
+
+impl<R: Read> Read for HashingRead<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.hasher.write(&buf[..n]);
+        Ok(n)
     }
 }
 
@@ -494,6 +618,40 @@ impl fmt::Debug for ScanConsumer {
     }
 }
 
+/// Trace-file opens made through one [`TraceSpec`] and its clones
+/// ([`TraceSpec::replay`] streams, [`TraceSpec::replay_shared`] scans).
+///
+/// The count belongs to the spec, not the process, so concurrent runs
+/// over other specs never move it; a caller that wants the opens of one
+/// phase gives the spec a fresh counter
+/// ([`with_fresh_open_count`](TraceSpec::with_fresh_open_count)). It is
+/// bookkeeping, not identity: any two counters compare equal.
+#[derive(Clone, Default)]
+pub struct OpenCount(Arc<AtomicU64>);
+
+impl OpenCount {
+    /// Opens counted so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl PartialEq for OpenCount {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for OpenCount {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "OpenCount({})", self.get())
+    }
+}
+
 /// Everything a run needs to know about an on-disk trace, computed by
 /// one up-front streaming [`scan`](TraceSpec::scan): the content hash
 /// (what the run cache keys on — two copies of one trace share cache
@@ -519,31 +677,25 @@ pub struct TraceSpec {
     /// bit-identical for every value (property-tested), so it is *not*
     /// part of the cache identity.
     pub chunk: usize,
+    /// Opens of the file made through this spec since the scan (see
+    /// [`OpenCount`]); shared by clones, ignored by equality.
+    pub opens: OpenCount,
 }
 
 impl TraceSpec {
     /// Streams the file at `path` once, validating every row and
     /// computing the spec. This is where all external-file errors
     /// surface, as line-numbered [`DatasetError`]s.
+    ///
+    /// One pass: the content hash is taken from the bytes as the row
+    /// parser reads them (a hashing adapter under the buffer), so the
+    /// file is opened and read exactly once.
     pub fn scan(path: &Path, chunk: usize) -> Result<TraceSpec, DatasetError> {
         assert!(chunk >= 1, "chunk must hold at least one batch");
-        // Pass 1: hash the raw bytes (format-agnostic identity).
-        let mut file = File::open(path)
-            .map_err(|e| DatasetError::io(format!("cannot open {}: {e}", path.display())))?;
-        let mut hasher = StableHasher::new();
-        let mut block = [0u8; 64 * 1024];
-        loop {
-            let n = file
-                .read(&mut block)
-                .map_err(|e| DatasetError::io(format!("read {}: {e}", path.display())))?;
-            if n == 0 {
-                break;
-            }
-            hasher.write(&block[..n]);
-        }
-        // Pass 2: parse every row through the same reader the replay
-        // will use, accumulating totals chunk by chunk.
-        let mut reader = CsvReader::open(path)?;
+        let mut reader = CsvReader::new(BufReader::new(HashingRead {
+            inner: open_trace(path)?,
+            hasher: StableHasher::new(),
+        }));
         let mut buf = Vec::with_capacity(chunk);
         let (mut total, mut batches) = (0u64, 0u64);
         let mut end = SimTime::ZERO;
@@ -558,6 +710,9 @@ impl TraceSpec {
             }
             batches += buf.len() as u64;
         }
+        // The reader stopped at end of file, so every byte went through
+        // the hasher.
+        let content_hash = reader.into_inner().into_inner().hasher.finish();
         let mean_rate = if end > SimTime::ZERO {
             total as f64 / end.as_secs()
         } else {
@@ -565,19 +720,30 @@ impl TraceSpec {
         };
         Ok(TraceSpec {
             path: path.to_path_buf(),
-            content_hash: hasher.finish(),
+            content_hash,
             total_requests: total,
             batches,
             end_time: end,
             mean_rate,
             chunk,
+            opens: OpenCount::default(),
         })
+    }
+
+    /// This spec with its own open counter starting at 0, so the opens
+    /// of one phase (e.g. a grid run) are counted apart from any other
+    /// user of the spec.
+    pub fn with_fresh_open_count(&self) -> TraceSpec {
+        TraceSpec {
+            opens: OpenCount::default(),
+            ..self.clone()
+        }
     }
 
     /// Builds the streaming replay process for this trace.
     pub fn replay(&self) -> StreamReplay {
         StreamReplay {
-            source: ReplaySource::File(self.path.clone()),
+            source: ReplaySource::File(self.path.clone(), self.opens.clone()),
             chunk: self.chunk,
             mean_rate: self.mean_rate,
             horizon: self.end_time,
@@ -600,6 +766,7 @@ impl TraceSpec {
         consumers: usize,
     ) -> Result<(SharedTraceScan, Vec<StreamReplay>), DatasetError> {
         let reader = Box::new(CsvReader::open(&self.path)?);
+        self.opens.bump();
         let (scan, handles) = SharedTraceScan::fan_out(reader, consumers, self.chunk);
         let replays = handles
             .into_iter()
@@ -622,7 +789,8 @@ impl TraceSpec {
 /// starts a fresh pass) even though a live reader is not; a shared-scan
 /// consumer is single-pass by construction, so cloning one panics.
 enum ReplaySource {
-    File(PathBuf),
+    /// The file, and the spec's open counter (bumped on each open).
+    File(PathBuf, OpenCount),
     Memory(Arc<Trace>),
     Shared(ScanConsumer),
 }
@@ -630,7 +798,7 @@ enum ReplaySource {
 impl Clone for ReplaySource {
     fn clone(&self) -> Self {
         match self {
-            ReplaySource::File(p) => ReplaySource::File(p.clone()),
+            ReplaySource::File(p, opens) => ReplaySource::File(p.clone(), opens.clone()),
             ReplaySource::Memory(t) => ReplaySource::Memory(Arc::clone(t)),
             ReplaySource::Shared(_) => panic!(
                 "a shared-scan replay cannot be cloned: the scan is single-pass \
@@ -731,10 +899,12 @@ impl StreamReplay {
                 let fresh: Box<dyn DatasetReader> = match &self.source {
                     // The file was validated by `TraceSpec::scan`; an
                     // open failure now means it vanished mid-campaign.
-                    ReplaySource::File(path) => Box::new(
-                        CsvReader::open(path)
-                            .unwrap_or_else(|e| panic!("trace changed after scan: {e}")),
-                    ),
+                    ReplaySource::File(path, opens) => {
+                        let reader = CsvReader::open(path)
+                            .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
+                        opens.bump();
+                        Box::new(reader)
+                    }
                     ReplaySource::Memory(t) => Box::new(MemoryReader::new(Arc::clone(t))),
                     ReplaySource::Shared(_) => unreachable!("handled above"),
                 };
@@ -782,7 +952,7 @@ impl Clone for StreamReplay {
 impl fmt::Debug for StreamReplay {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let source = match &self.source {
-            ReplaySource::File(path) => format!("file {}", path.display()),
+            ReplaySource::File(path, _) => format!("file {}", path.display()),
             ReplaySource::Memory(t) => format!("memory ({} batches)", t.len()),
             ReplaySource::Shared(c) => format!("shared scan (consumer {})", c.id),
         };
@@ -979,6 +1149,36 @@ mod tests {
         assert_eq!(got[0].count, 5);
         assert_eq!(got[0].spread, 0.0);
         assert_eq!(got[1].spread, 30.0);
+    }
+
+    #[test]
+    fn plain_rows_decode_in_place() {
+        // Plain rows, `\n` or `\r\n` ended, never reach the general
+        // path's line buffer (given a buffer no row straddles); a
+        // header, or a 1-byte buffer that no row fits, does.
+        let mut csv = Vec::new();
+        generate_poisson_csv(&mut csv, 20.0, SimTime::from_secs(50.0), 3).unwrap();
+        let body = &csv[csv.iter().position(|&b| b == b'\n').unwrap() + 1..];
+        let mut fast = CsvReader::new(io::BufReader::with_capacity(body.len(), body));
+        let rows = drain_via(&mut fast, 64);
+        assert!(rows.len() > 500);
+        assert_eq!(fast.buf.capacity(), 0, "a plain row took the general path");
+        let mut crlf = Vec::new();
+        for &b in body {
+            if b == b'\n' {
+                crlf.push(b'\r');
+            }
+            crlf.push(b);
+        }
+        let mut fast = CsvReader::new(io::BufReader::with_capacity(crlf.len(), &crlf[..]));
+        assert_eq!(drain_via(&mut fast, 64), rows);
+        assert_eq!(fast.buf.capacity(), 0, "a CRLF row took the general path");
+        let mut header = CsvReader::new(io::BufReader::new(&csv[..]));
+        assert_eq!(drain_via(&mut header, 64), rows);
+        assert!(header.buf.capacity() > 0);
+        let mut general = CsvReader::new(io::BufReader::with_capacity(1, body));
+        assert_eq!(drain_via(&mut general, 64), rows);
+        assert!(general.buf.capacity() > 0);
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub mod traits;
 pub mod web;
 
 pub use dataset::{
-    generate_piecewise_csv, generate_poisson_csv, trace_file_opens, CsvReader, DatasetError,
-    DatasetReader, GeneratedTrace, MemoryReader, ScanConsumer, ScanStats, SharedTraceScan,
+    generate_piecewise_csv, generate_poisson_csv, CsvReader, DatasetError, DatasetReader,
+    GeneratedTrace, MemoryReader, OpenCount, ScanConsumer, ScanStats, SharedTraceScan,
     StreamReplay, TraceSpec, DEFAULT_CHUNK, SCAN_DEPTH,
 };
 pub use scientific::{scientific_service_model, ScientificConfig, ScientificWorkload};

@@ -24,6 +24,8 @@ run cargo fmt --all -- --check
 run cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 run cargo build "${OFFLINE[@]}" --workspace --release
 run cargo test "${OFFLINE[@]}" --workspace -q
+# The benchmark's smoke tests check its seed-1 output digests.
+run cargo test "${OFFLINE[@]}" --manifest-path vmbench/Cargo.toml
 # Full sizes (the suite takes seconds), written under target/ so the
 # committed BENCH_des.json at the repo root is not clobbered. Two gates:
 # the probe-overhead gate fails the build when a probe-less run is
