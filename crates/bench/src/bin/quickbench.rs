@@ -30,8 +30,8 @@
 //! per-request ingestion cost. `stats_record_hot[_hist]` isolates the
 //! per-request bookkeeping (`RunMetrics::record_completion`, with and
 //! without the histogram) — the baseline for the sub-100 ns/request
-//! push; `stats_record_{stream,batched}` time the full
-//! `record_run_completion` sink in its two stats modes, and
+//! push; `stats_record_stream` times the full
+//! `record_run_completion` sink the engine calls, and
 //! `hist_bucket_index_hot` the histogram's bit-index bucket record in
 //! isolation. `replay_grid_shared` runs a 3-analyzer grid off one shared
 //! trace scan and `replay_grid_cold` the equivalent sequential
@@ -82,8 +82,6 @@ struct Sizes {
     sci_hours: f64,
     /// Trivial jobs per `pool_dispatch_overhead` batch.
     pool_jobs: usize,
-    /// Standard-exponential draws per `exp_sampler_hot` run.
-    sampler_draws: usize,
     /// Simulated seconds per scenario of the cached-campaign pass.
     campaign_horizon: f64,
     /// Simulated seconds of the sharded-vs-serial scaling run.
@@ -108,7 +106,6 @@ impl Sizes {
             web_horizon: 600.0,
             sci_hours: 10.0,
             pool_jobs: 20_000,
-            sampler_draws: 4_000_000,
             campaign_horizon: 600.0,
             shard_horizon: 600.0,
             trace_horizon: 600.0,
@@ -129,7 +126,6 @@ impl Sizes {
             web_horizon: 120.0,
             sci_hours: 2.0,
             pool_jobs: 2_000,
-            sampler_draws: 200_000,
             campaign_horizon: 120.0,
             shard_horizon: 60.0,
             trace_horizon: 60.0,
@@ -476,24 +472,6 @@ fn bench_modeler_sweep(runs: u32) -> Timing {
     })
 }
 
-/// The batched ziggurat exponential sampler in a tight loop: the cost
-/// of one standard-exponential deviate through the block-refill path
-/// (the per-draw unit every workload's interarrival sampling pays on
-/// the ziggurat backend).
-fn bench_exp_sampler(draws: usize, runs: u32) -> Timing {
-    use vmprov_des::dist::StdExp;
-    use vmprov_des::SamplerBackend;
-    let mut rng = RngFactory::new(0x216).stream("zig-exp-hot");
-    let mut sampler = StdExp::new(SamplerBackend::Ziggurat);
-    bench("exp_sampler_hot", draws as u64, 1, runs, || {
-        let mut acc = 0.0f64;
-        for _ in 0..draws {
-            acc += sampler.next(&mut rng);
-        }
-        black_box(acc);
-    })
-}
-
 /// The same scenario as `web_small_run`, but driven through the
 /// `Box<dyn>`-erased entry point (boxed workload through the forwarding
 /// impl, boxed dispatcher enum): the per-request price of runtime
@@ -529,7 +507,7 @@ fn bench_dispatch_erased(horizon: f64, runs: u32) -> Timing {
 /// created once outside the measured region, matching the process-wide
 /// pool's lifecycle.
 fn bench_pool_dispatch(jobs: usize, runs: u32) -> Timing {
-    use vmprov_experiments::pool::WorkerPool;
+    use vmprov_des::pool::WorkerPool;
     // A fixed width keeps the measurement comparable across machines
     // with different core counts.
     let pool = WorkerPool::new(2);
@@ -656,11 +634,9 @@ fn bench_trace_replay(horizon: f64, runs: u32) -> Timing {
 /// measure-first baseline for the sub-100 ns/request push: the
 /// simulation cannot get under any target this floor exceeds.
 ///
-/// `stats_record_stream` / `stats_record_batched` measure the full
-/// per-completion sink the engine actually calls
-/// (`record_run_completion`, response *and* service accumulation) in
-/// its two modes; the delta is what deferring Welford folds into
-/// 64-sample batches buys per request.
+/// `stats_record_stream` measures the full per-completion sink the
+/// engine actually calls (`record_run_completion`, response *and*
+/// service accumulation).
 fn bench_stats_record(ops: usize, runs: u32) -> Vec<Timing> {
     use vmprov_cloudsim::{MetricsOptions, RunMetrics};
     let mut rng = RngFactory::new(0xBE7C).stream("stats_record");
@@ -678,26 +654,18 @@ fn bench_stats_record(ops: usize, runs: u32) -> Vec<Timing> {
             black_box(metrics.response.mean());
         })
     };
-    let run_mode = |name: &str, stats: StatsMode| {
-        let options = MetricsOptions {
-            stats,
-            ..MetricsOptions::default()
-        };
-        let mut metrics = RunMetrics::new(10, options);
-        bench(name, ops as u64, 1, runs, || {
-            for i in 0..ops {
-                let (resp, svc) = samples[i & 1023];
-                metrics.record_run_completion(black_box(resp), svc, 0.3);
-            }
-            metrics.flush_samples();
-            black_box(metrics.response.mean());
-        })
-    };
+    let mut metrics = RunMetrics::new(10, MetricsOptions::default());
+    let stream = bench("stats_record_stream", ops as u64, 1, runs, || {
+        for i in 0..ops {
+            let (resp, svc) = samples[i & 1023];
+            metrics.record_run_completion(black_box(resp), svc, 0.3);
+        }
+        black_box(metrics.response.mean());
+    });
     vec![
         run_variant("stats_record_hot", MetricsOptions::default()),
         run_variant("stats_record_hot_hist", MetricsOptions::with_histogram()),
-        run_mode("stats_record_stream", StatsMode::Streaming),
-        run_mode("stats_record_batched", StatsMode::Batched),
+        stream,
     ]
 }
 
@@ -1067,9 +1035,6 @@ fn main() {
     })));
     groups.push(run_group(Box::new(move || {
         vec![bench_modeler_sweep(sizes.runs)]
-    })));
-    groups.push(run_group(Box::new(move || {
-        vec![bench_exp_sampler(sizes.sampler_draws, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
         vec![bench_dispatch_erased(sizes.web_horizon, sizes.runs)]

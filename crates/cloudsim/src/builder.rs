@@ -26,7 +26,7 @@
 //! ```
 
 use crate::config::{AdmissionMode, SimConfig};
-use crate::metrics::{MetricsOptions, RunSummary, StatsMode};
+use crate::metrics::{MetricsOptions, RunSummary};
 use crate::probe::{NullProbe, Probe};
 use crate::sim::{run_engine, run_engine_scratch, CloudSim, SimScratch};
 use vmprov_core::dispatch::{AnyDispatcher, Dispatcher};
@@ -146,14 +146,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
     /// bitset path; [`AdmissionMode::Branchy`] is the A/B reference).
     pub fn admission(mut self, mode: AdmissionMode) -> Self {
         self.cfg.admission = mode;
-        self
-    }
-
-    /// Overrides the per-request stats sink (default: the config's
-    /// streaming path; [`StatsMode::Batched`] defers Welford folding
-    /// into 64-sample batches). See [`StatsMode`].
-    pub fn stats_mode(mut self, mode: StatsMode) -> Self {
-        self.cfg.metrics.stats = mode;
         self
     }
 

@@ -3,28 +3,22 @@
 //! concurrent instances, VM hours, QoS violations, rejection percentage,
 //! and the resource utilization rate (busy time / VM hours).
 
-use vmprov_des::stats::{LogHistogram, OnlineStats, SampleBatch, TimeWeighted};
+use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted};
 use vmprov_des::SimTime;
 use vmprov_json::{field, field_f64, field_str, field_u64, FromJson, Json, ToJson};
 
-/// How per-completion response/service samples reach the accumulators.
+/// The per-request stats sink. It has one variant and is therefore
+/// not an option: completions always fold straight into the Welford
+/// accumulators.
 ///
-/// Follows the [`AdmissionMode`](crate::config::AdmissionMode) /
-/// `SamplerBackend` precedent: the default is the historical reference
-/// semantics, the alternative is an equivalent-but-not-bit-identical
-/// faster path pinned by its own goldens and equivalence tests.
+/// Kept only because the frozen benchmark package (`vmbench/`) names
+/// `StatsMode::Streaming` when it fills `ReplayGrid::stats`
+/// (in `vmprov-experiments`); the next benchmark change can drop both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StatsMode {
     /// Fold every sample into the Welford accumulators as it arrives.
-    /// Bit-identical to every pre-existing golden.
     #[default]
     Streaming,
-    /// Defer samples in a fixed-capacity [`SampleBatch`] and fold them
-    /// in 64-sample flushes (vectorizable column reductions + one exact
-    /// Chan-style merge). Integer counters, min, and max are exactly
-    /// equal to streaming; mean and variance agree up to floating-point
-    /// reassociation (≤ 1e-9 relative, pinned by tests).
-    Batched,
 }
 
 /// Collection knobs for [`RunMetrics`] — what to record beyond the
@@ -52,8 +46,6 @@ pub struct MetricsOptions {
     /// `histogram`; with it off the summary's p99 is `None` even when
     /// the histogram was collected).
     pub p99: bool,
-    /// How samples reach the accumulators (streaming default).
-    pub stats: StatsMode,
 }
 
 impl Default for MetricsOptions {
@@ -65,7 +57,6 @@ impl Default for MetricsOptions {
             histogram_bounds: (1e-6, 1.2e4),
             histogram_resolution: 0.01,
             p99: true,
-            stats: StatsMode::Streaming,
         }
     }
 }
@@ -130,11 +121,8 @@ pub struct RunMetrics {
     pub instance_failures: u64,
     /// Admitted requests lost to instance crashes.
     pub requests_lost_to_failures: u64,
-    /// Deferred `(response, service)` samples under
-    /// [`StatsMode::Batched`]; always empty under `Streaming`.
-    batch: SampleBatch,
     /// The options this run was collected with (needed at finalization
-    /// for the p99 toggle and per-completion for the stats mode).
+    /// for the p99 toggle).
     options: MetricsOptions,
 }
 
@@ -146,7 +134,6 @@ impl RunMetrics {
             response: OnlineStats::new(),
             service: OnlineStats::new(),
             response_hist: options.build_histogram(),
-            batch: SampleBatch::new(),
             rejected: 0,
             offered: 0,
             qos_violations: 0,
@@ -169,7 +156,7 @@ impl RunMetrics {
     ///
     /// `inline(always)` (here and on the run-completion wrapper): these
     /// are the per-request sinks on the simulation hot path, and the
-    /// histogram / batch bodies are built to overlap with the Welford
+    /// histogram body is built to overlap with the Welford
     /// fold — LLVM outlines them once a binary accumulates several call
     /// sites, which costs a call per sample and serializes that
     /// overlap.
@@ -188,57 +175,16 @@ impl RunMetrics {
     }
 
     /// The engine-facing completion record: response *and* service
-    /// accumulators, dispatched on the configured [`StatsMode`].
-    ///
-    /// Streaming performs exactly the historical operation sequence
-    /// ([`record_completion`](Self::record_completion) followed by a
-    /// service-time push) and is bit-identical to it. Batched defers
-    /// both Welford folds into the sample buffer; counters and the
-    /// histogram still update immediately, so only the moment
-    /// accumulators can go stale (callers flush before every read —
-    /// see [`flush_samples`](Self::flush_samples)).
+    /// accumulators ([`record_completion`](Self::record_completion)
+    /// followed by a service-time push).
     #[inline(always)]
     pub fn record_run_completion(&mut self, response_time: f64, service_time: f64, ts: f64) {
-        match self.options.stats {
-            StatsMode::Streaming => {
-                self.record_completion(response_time, service_time, ts);
-                self.service.push(service_time);
-            }
-            StatsMode::Batched => {
-                if let Some(h) = &mut self.response_hist {
-                    h.record(response_time);
-                }
-                self.busy_seconds += service_time;
-                self.qos_violations += u64::from(response_time > ts);
-                if self.batch.push(response_time, service_time) {
-                    self.batch.flush_into(&mut self.response, &mut self.service);
-                }
-            }
-        }
+        self.record_completion(response_time, service_time, ts);
+        self.service.push(service_time);
     }
 
-    /// Whether no deferred samples are buffered, i.e. accumulator reads
-    /// are current (always `true` under [`StatsMode::Streaming`]).
-    #[inline]
-    pub fn samples_flushed(&self) -> bool {
-        self.batch.is_empty()
-    }
-
-    /// Folds any deferred samples into the accumulators. Must run
-    /// before every read of `response`/`service` (monitor ticks, probe
-    /// samples, finalization); a no-op when nothing is buffered (and
-    /// therefore always under [`StatsMode::Streaming`]).
-    #[inline]
-    pub fn flush_samples(&mut self) {
-        if !self.batch.is_empty() {
-            self.batch.flush_into(&mut self.response, &mut self.service);
-        }
-    }
-
-    /// Freezes the accumulators into a summary at `end`, flushing any
-    /// deferred samples first.
-    pub fn finalize(&mut self, end: SimTime, policy: &str) -> RunSummary {
-        self.flush_samples();
+    /// Freezes the accumulators into a summary at `end`.
+    pub fn finalize(&self, end: SimTime, policy: &str) -> RunSummary {
         let accepted = self.offered - self.rejected;
         RunSummary {
             policy: policy.to_string(),
@@ -481,7 +427,7 @@ mod tests {
 
     #[test]
     fn empty_run_is_well_defined() {
-        let mut m = RunMetrics::new(1, MetricsOptions::default());
+        let m = RunMetrics::new(1, MetricsOptions::default());
         let s = m.finalize(SimTime::from_secs(10.0), "Empty");
         assert_eq!(s.offered_requests, 0);
         assert_eq!(s.rejection_rate, 0.0);
@@ -523,7 +469,6 @@ mod tests {
                 histogram_bounds: (1e-3, 10.0),
                 histogram_resolution: 0.05,
                 p99: true,
-                stats: StatsMode::Streaming,
             },
         );
         for _ in 0..100 {
@@ -565,64 +510,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_mode_matches_streaming_within_tolerance() {
-        // Counters, min, max exactly equal; mean/std within 1e-9
-        // relative — on a sample count that exercises both full-batch
-        // flushes and a partial tail (1000 = 15 × 64 + 40).
-        let mut stream = RunMetrics::new(1, MetricsOptions::default());
-        let mut batched = RunMetrics::new(
-            1,
-            MetricsOptions {
-                stats: StatsMode::Batched,
-                ..MetricsOptions::default()
-            },
-        );
-        for i in 0..1000u64 {
-            let r = 0.05 + ((i * 37) % 101) as f64 * 3e-3;
-            let svc = 0.02 + ((i * 13) % 53) as f64 * 1e-3;
-            stream.record_run_completion(r, svc, 0.25);
-            batched.record_run_completion(r, svc, 0.25);
-        }
-        batched.flush_samples();
-        assert_eq!(batched.response.count(), stream.response.count());
-        assert_eq!(batched.service.count(), stream.service.count());
-        assert_eq!(batched.qos_violations, stream.qos_violations);
-        assert_eq!(batched.response.min(), stream.response.min());
-        assert_eq!(batched.response.max(), stream.response.max());
-        assert_eq!(batched.busy_seconds, stream.busy_seconds);
-        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
-        assert!(rel(batched.response.mean(), stream.response.mean()) < 1e-9);
-        assert!(rel(batched.response.std_dev(), stream.response.std_dev()) < 1e-9);
-        assert!(rel(batched.service.mean(), stream.service.mean()) < 1e-9);
-        assert!(rel(batched.service.std_dev(), stream.service.std_dev()) < 1e-9);
-    }
-
-    #[test]
-    fn finalize_flushes_deferred_samples() {
-        // A partial batch (fewer than 64 samples) must still reach the
-        // summary: finalize flushes before reading the accumulators.
-        let mut m = RunMetrics::new(
-            1,
-            MetricsOptions {
-                stats: StatsMode::Batched,
-                ..MetricsOptions::default()
-            },
-        );
-        m.offered = 3;
-        for r in [0.1, 0.2, 0.3] {
-            m.record_run_completion(r, 0.1, 0.25);
-        }
-        let s = m.finalize(SimTime::from_secs(10.0), "B");
-        assert!((s.mean_response_time - 0.2).abs() < 1e-12);
-        assert_eq!(s.max_response_time, 0.3);
-        assert_eq!(s.qos_violations, 1);
-    }
-
-    #[test]
     fn streaming_run_completion_is_bit_identical_to_legacy_sequence() {
         // The engine's historical operation order was record_completion
-        // followed by a separate service-stats push; the streaming arm
-        // of record_run_completion must reproduce it exactly.
+        // followed by a separate service-stats push;
+        // record_run_completion must reproduce it exactly.
         let mut legacy = RunMetrics::new(1, MetricsOptions::default());
         let mut unified = RunMetrics::new(1, MetricsOptions::default());
         for i in 0..200u64 {

@@ -54,14 +54,14 @@ use std::sync::OnceLock;
 
 use crate::config::{PriorityConfig, SimConfig};
 use crate::host::HostPool;
-use crate::metrics::{RunMetrics, RunSummary, StatsMode};
+use crate::metrics::{RunMetrics, RunSummary};
 use crate::probe::{Probe, RejectReason, RequestClass};
 use crate::sim::SimScratch;
 use vmprov_core::dispatch::Dispatcher;
 use vmprov_core::policy::{MonitorReport, PoolStatus, ProvisioningPolicy};
 use vmprov_des::dist::{Distribution, Exponential};
 use vmprov_des::pool::WorkerPool;
-use vmprov_des::stats::{OnlineStats, SampleBatch, TimeWeighted};
+use vmprov_des::stats::{OnlineStats, TimeWeighted};
 use vmprov_des::{Engine, EventHandle, RngFactory, Scheduler, SimRng, SimTime, World};
 use vmprov_workloads::{ArrivalBatch, ArrivalProcess, ServiceModel};
 
@@ -139,13 +139,6 @@ struct VmLocal {
     failure: Option<EventHandle>,
     response: OnlineStats,
     service: OnlineStats,
-    /// Deferred `(response, service)` pairs under [`StatsMode::Batched`];
-    /// `None` in streaming mode. Flush points — batch full, instance
-    /// retirement ([`ShardedSim::fold_stats`]), coordinator peeks, final
-    /// reduction — all depend only on this VM's own completion sequence
-    /// or on barrier-ordered coordinator reads, so the schedule stays
-    /// invariant across shard counts.
-    batch: Option<Box<SampleBatch>>,
     busy_seconds: f64,
     qos_violations: u64,
 }
@@ -159,18 +152,8 @@ impl VmLocal {
             failure: None,
             response: OnlineStats::new(),
             service: OnlineStats::new(),
-            batch: None,
             busy_seconds: 0.0,
             qos_violations: 0,
-        }
-    }
-
-    /// Fold any deferred samples into the Welford accumulators.
-    fn flush_batch(&mut self) {
-        if let Some(b) = &mut self.batch {
-            if !b.is_empty() {
-                b.flush_into(&mut self.response, &mut self.service);
-            }
         }
     }
 
@@ -231,9 +214,6 @@ struct ShardWorld {
     /// Buffer probe events for barrier replay? Off for probes that
     /// observe nothing ([`Probe::observes_events`]).
     record: bool,
-    /// Defer per-completion sample folding into per-VM [`SampleBatch`]es
-    /// ([`StatsMode::Batched`]).
-    batched: bool,
     log: Vec<ProbeRecord>,
 }
 
@@ -313,17 +293,8 @@ impl ShardWorld {
         v.completion = None;
         let (arrived, svc) = v.queue.pop_front().expect("completion on empty queue");
         let response = now.as_secs() - arrived;
-        match &mut v.batch {
-            Some(b) => {
-                if b.push(response, svc) {
-                    b.flush_into(&mut v.response, &mut v.service);
-                }
-            }
-            None => {
-                v.response.push(response);
-                v.service.push(svc);
-            }
-        }
+        v.response.push(response);
+        v.service.push(svc);
         v.busy_seconds += svc;
         // Branchless for the same reason as `record_completion`: the
         // predicate is data-random under mixed load.
@@ -667,8 +638,7 @@ impl<P: Probe, W: ArrivalProcess> Coordinator<P, W> {
     /// is what makes the float merges shard-count invariant.
     fn fold_stats(&mut self, vm: u32) {
         let (si, li) = (self.shard_of(vm), self.local_of(vm));
-        let v = &mut self.shards[si].world_mut().vms[li];
-        v.flush_batch();
+        let v = &self.shards[si].world().vms[li];
         let (resp, svc, busy, qos) = (v.response, v.service, v.busy_seconds, v.qos_violations);
         self.retired_response.merge(&resp);
         self.retired_service.merge(&svc);
@@ -718,9 +688,6 @@ impl<P: Probe, W: ArrivalProcess> Coordinator<P, W> {
             world.vms.resize_with(local + 1, VmLocal::tombstone);
         }
         world.vms[local] = VmLocal::fresh();
-        if world.batched {
-            world.vms[local].batch = Some(Box::new(SampleBatch::new()));
-        }
         if let Some(ttf) = ttf {
             let h = engine.schedule(now + ttf, ShardEvent::Failure(vm));
             engine.world_mut().vms[local].failure = Some(h);
@@ -879,15 +846,7 @@ impl<P: Probe, W: ArrivalProcess> Coordinator<P, W> {
             .collect();
         ids.sort_unstable();
         for vm in ids {
-            let v = &self.shards[self.shard_of(vm)].world().vms[self.local_of(vm)];
-            match &v.batch {
-                // Between barriers the batch may hold deferred samples; a
-                // pure peek folds them without mutating shard state.
-                Some(b) if !b.is_empty() => {
-                    stats.merge(&SampleBatch::peek_flushed(&v.service, b.services()));
-                }
-                _ => stats.merge(&v.service),
-            }
+            stats.merge(&self.shards[self.shard_of(vm)].world().vms[self.local_of(vm)].service);
         }
         if stats.count() >= 30 {
             let mean = stats.mean();
@@ -999,13 +958,6 @@ impl<P: Probe, W: ArrivalProcess> Coordinator<P, W> {
         let mut response = self.retired_response;
         let mut busy = self.retired_busy;
         let mut qos = self.retired_qos;
-        // Settle every live instance's deferred samples before the merge
-        // loop; each flush touches only its own VM, so order is free.
-        for s in &mut self.shards {
-            for v in s.world_mut().vms.iter_mut() {
-                v.flush_batch();
-            }
-        }
         for vm in 0..self.vms.len() as u32 {
             if self.vms[vm as usize].state == MetaState::Active {
                 let v = &self.shards[self.shard_of(vm)].world().vms[self.local_of(vm)];
@@ -1103,7 +1055,6 @@ pub(crate) fn run_sharded<P: Probe, W: ArrivalProcess, D: Dispatcher>(
             instance_failures: 0,
             requests_lost: 0,
             record,
-            batched: cfg.metrics.stats == StatsMode::Batched,
             log: Vec::new(),
         };
         // Recycled FELs must match the run's backend, as in the serial

@@ -615,8 +615,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
 
     /// Captures aggregate pool state and hands it to the probe.
     fn emit_sample(&mut self, now: SimTime) {
-        // Deferred samples must land before the accumulators are read.
-        self.metrics.flush_samples();
         let queue_depth: u64 = self
             .active
             .iter()
@@ -874,13 +872,8 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
     }
 
     /// The monitored Tm / SCV, falling back to configured priors until
-    /// enough completions are recorded. Callers must flush deferred
-    /// samples first ([`RunMetrics::flush_samples`]).
+    /// enough completions are recorded.
     fn monitored_service(&self) -> (f64, f64) {
-        debug_assert!(
-            self.metrics.samples_flushed(),
-            "monitored_service read a stale accumulator"
-        );
         let service = &self.metrics.service;
         if service.count() >= 30 {
             let mean = service.mean();
@@ -1076,9 +1069,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
         sched: &mut Scheduler<'_, Event>,
         reschedule: bool,
     ) {
-        // The G/G/1/k refinement reads the service accumulator: fold in
-        // any deferred samples first (no-op when streaming).
-        self.metrics.flush_samples();
         let (tm, scv) = self.monitored_service();
         let new_k = self.policy.queue_capacity(tm);
         if new_k != self.k {
@@ -1213,10 +1203,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W,
                 }
             }
             Event::Monitor => {
-                // Monitor ticks are a flush point: the next accumulator
-                // read (policy evaluation, finalization) must never see
-                // samples deferred across a control boundary.
-                self.metrics.flush_samples();
                 self.policy
                     .observe_arrivals(now, self.window_arrivals, self.cfg.monitor_interval);
                 self.window_arrivals = 0;

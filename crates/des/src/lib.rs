@@ -76,9 +76,7 @@ mod rng;
 pub mod special;
 pub mod stats;
 mod time;
-pub mod ziggurat;
 
-pub use dist::SamplerBackend;
 pub use engine::{Engine, Scheduler, World};
 pub use event::{EventHandle, EventQueue, FelBackend};
 pub use hash::{stable_hash64, StableHasher};

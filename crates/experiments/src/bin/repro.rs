@@ -6,12 +6,10 @@
 //!       [--mode smoke|quick|paper|full] [--seed N] [--out DIR]
 //!       [--trace DIR] [--cache DIR] [--no-cache] [--jobs N]
 //!       [--shards N] [--fel calendar|binary_heap] [--arrival-run N]
-//!       [--stats-mode streaming|batched]
 //! repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N]
 //!       [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N]
 //!       [--shards N] [--fel calendar|binary_heap] [--seed N]
 //!       [--out DIR] [--cache DIR] [--no-cache]
-//!       [--stats-mode streaming|batched]
 //! repro smoke [figures flags]
 //! repro gen-trace --out FILE [--rate R] [--horizon SECS] [--seed N]
 //!       [--step-at SECS --step-rate R2]
@@ -63,20 +61,12 @@
 //! 1 (the default) is the scalar one-batch-ahead cadence, larger
 //! depths drive whole bursts through the batch seam (sharded runs are
 //! bit-identical for every depth — the CI shard matrix pins this).
-//!
-//! `--stats-mode streaming|batched` picks the per-request stats sink:
-//! `streaming` (the default) folds every completion straight into the
-//! Welford accumulators, bit-identical to all pre-existing results;
-//! `batched` defers samples into 64-wide batches flushed at control
-//! ticks — statistically equivalent (counters exact, moments within
-//! float reassociation) and cheaper per request, keyed apart in the
-//! run cache.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+use vmprov_des::pool::configure_global_workers;
 use vmprov_des::{FelBackend, SimTime};
-use vmprov_experiments::pool::configure_global_workers;
 use vmprov_experiments::report::{
     figure_table, runs_csv, runs_json, series_csv, sparkline, timeseries_curves,
 };
@@ -87,17 +77,17 @@ use vmprov_experiments::{
     ReplayGrid, Replicated, RunCache, RunMode, Scenario, StatsMode,
 };
 use vmprov_json::{Json, ToJson};
-use vmprov_workloads::{generate_piecewise_csv, TraceSpec, DEFAULT_CHUNK};
+use vmprov_workloads::{generate_piecewise_csv, TraceSpec, DEFAULT_CHUNK, MAX_CHUNK};
 
 const USAGE: &str = "usage: repro <figures|replay|smoke|gen-trace> …
   repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]… \
 [--mode smoke|quick|paper|full] [--seed N] [--out DIR] [--trace DIR] \
 [--cache DIR] [--no-cache] [--jobs N] [--shards N] [--fel calendar|binary_heap] \
-[--arrival-run N] [--stats-mode streaming|batched]
+[--arrival-run N]
   repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N] \
 [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N] \
 [--shards N] [--fel calendar|binary_heap] [--seed N] [--out DIR] \
-[--cache DIR] [--no-cache] [--stats-mode streaming|batched]
+[--cache DIR] [--no-cache]
   repro smoke [figures flags]
   repro gen-trace --out FILE [--rate R] [--horizon SECS] [--seed N] \
 [--step-at SECS --step-rate R2]";
@@ -107,14 +97,6 @@ fn parse_fel(v: &str) -> Result<FelBackend, String> {
         "calendar" => Ok(FelBackend::Calendar),
         "binary_heap" | "heap" => Ok(FelBackend::BinaryHeap),
         other => Err(format!("unknown FEL backend {other}")),
-    }
-}
-
-fn parse_stats_mode(v: &str) -> Result<StatsMode, String> {
-    match v {
-        "streaming" => Ok(StatsMode::Streaming),
-        "batched" => Ok(StatsMode::Batched),
-        other => Err(format!("unknown stats mode {other} (streaming|batched)")),
     }
 }
 
@@ -134,8 +116,6 @@ struct FigureArgs {
     fel: Option<FelBackend>,
     /// Arrival-burst prefetch depth for figure runs (default 1).
     arrival_run: u32,
-    /// Per-request stats sink for figure runs (default streaming).
-    stats: StatsMode,
 }
 
 fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
@@ -150,7 +130,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
     let mut shards = None;
     let mut fel = None;
     let mut arrival_run = 1u32;
-    let mut stats = StatsMode::Streaming;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -198,9 +177,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
                     return Err("--arrival-run must be at least 1".into());
                 }
             }
-            "--stats-mode" => {
-                stats = parse_stats_mode(it.next().ok_or("--stats-mode needs a value")?)?;
-            }
             "--help" | "-h" => return Err(USAGE.into()),
             t @ ("table2" | "fig3" | "fig4" | "fig5" | "fig6" | "ablations" | "all") => {
                 targets.push(t.to_string())
@@ -238,7 +214,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
         shards,
         fel,
         arrival_run,
-        stats,
     })
 }
 
@@ -282,8 +257,7 @@ fn run_figure_campaign(args: &FigureArgs) -> (Option<Vec<Replicated>>, Option<Ve
             .map(|s| {
                 let s = s
                     .with_shards(args.shards)
-                    .with_arrival_run(args.arrival_run)
-                    .with_stats_mode(args.stats);
+                    .with_arrival_run(args.arrival_run);
                 match args.fel {
                     Some(fel) => s.with_fel_backend(fel),
                     None => s,
@@ -509,8 +483,6 @@ struct ReplayArgs {
     chunk: usize,
     shards: Option<u32>,
     fel: Option<FelBackend>,
-    /// Per-request stats sink (default streaming).
-    stats: StatsMode,
     seed: u64,
     out: PathBuf,
     cache: Option<PathBuf>,
@@ -527,7 +499,6 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
     let mut chunk = DEFAULT_CHUNK;
     let mut shards = None;
     let mut fel = None;
-    let mut stats = StatsMode::Streaming;
     let mut seed = 20110926;
     let mut out = PathBuf::from("results");
     let mut cache = None;
@@ -586,6 +557,9 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
                 if chunk < 1 {
                     return Err("--chunk must be at least 1".into());
                 }
+                if chunk > MAX_CHUNK {
+                    return Err(format!("--chunk must be at most {MAX_CHUNK}"));
+                }
             }
             "--shards" => {
                 let v = it.next().ok_or("--shards needs a value")?;
@@ -597,9 +571,6 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
             }
             "--fel" => {
                 fel = Some(parse_fel(it.next().ok_or("--fel needs a value")?)?);
-            }
-            "--stats-mode" => {
-                stats = parse_stats_mode(it.next().ok_or("--stats-mode needs a value")?)?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -632,7 +603,6 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
         chunk,
         shards,
         fel,
-        stats,
         seed,
         out,
         cache,
@@ -679,8 +649,7 @@ fn replay_main(argv: &[String]) {
 
     let mut scenario = Scenario::trace_replay(spec.clone(), PolicySpec::Adaptive, args.seed)
         .with_analyzer(args.analyzer)
-        .with_shards(args.shards)
-        .with_stats_mode(args.stats);
+        .with_shards(args.shards);
     if let Some(fel) = args.fel {
         scenario = scenario.with_fel_backend(fel);
     }
@@ -803,7 +772,7 @@ fn replay_grid_main(args: &ReplayArgs, spec: TraceSpec, started: Instant) {
         reps: args.reps,
         shards: args.shards,
         fel: args.fel,
-        stats: args.stats,
+        stats: StatsMode::Streaming,
         seed: args.seed,
         concurrency: args.jobs,
     };

@@ -19,10 +19,10 @@
 use std::time::Duration;
 
 use crate::cache::{run_key, Lookup, RunCache};
-use crate::pool;
 use crate::runner::{run_once_warm, Replicated};
 use crate::scenario::Scenario;
 use vmprov_cloudsim::RunSummary;
+use vmprov_des::pool;
 use vmprov_json::{Json, ToJson};
 
 /// Identifies one figure's slice of a [`CampaignResult`].

@@ -31,11 +31,11 @@
 use std::time::{Duration, Instant};
 
 use crate::cache::{run_key, Lookup, RunCache};
-use crate::pool::WorkerPool;
 use crate::replay::{peak_rss_kb, qos_verdict, ReplaySource};
 use crate::runner::run_once_warm_with;
 use crate::scenario::{AnalyzerSpec, PolicySpec, Scenario};
 use vmprov_cloudsim::{RunSummary, StatsMode};
+use vmprov_des::pool::WorkerPool;
 use vmprov_des::FelBackend;
 use vmprov_json::{Json, ToJson};
 use vmprov_workloads::TraceSpec;
@@ -58,7 +58,9 @@ pub struct ReplayGrid {
     pub shards: Option<u32>,
     /// FEL backend override applied to every cell.
     pub fel: Option<FelBackend>,
-    /// Per-request stats sink applied to every cell.
+    /// Always [`StatsMode::Streaming`], the only stats sink. Kept only
+    /// because the frozen benchmark package (`vmbench/`) fills it; the
+    /// next benchmark change can drop it.
     pub stats: StatsMode,
     /// Base seed (per-rep seeds derive exactly as in the single path).
     pub seed: u64,
@@ -165,8 +167,7 @@ impl ReplayGrid {
     fn scenario_on(&self, spec: &TraceSpec, analyzer: AnalyzerSpec) -> Scenario {
         let mut s = Scenario::trace_replay(spec.clone(), PolicySpec::Adaptive, self.seed)
             .with_analyzer(analyzer)
-            .with_shards(self.shards)
-            .with_stats_mode(self.stats);
+            .with_shards(self.shards);
         if let Some(fel) = self.fel {
             s = s.with_fel_backend(fel);
         }

@@ -22,7 +22,6 @@ pub mod cache;
 pub mod campaign;
 pub mod figures;
 pub mod grid;
-pub mod pool;
 pub mod replay;
 pub mod report;
 pub mod runner;

@@ -2,7 +2,7 @@
 //!
 //! The paper repeats every scenario 10 times and reports averages
 //! (§V-A); [`run_replicated`] does the same, fanning replications out
-//! over the persistent worker pool (see [`crate::pool`]) and folding
+//! over the persistent worker pool (see [`vmprov_des::pool`]) and folding
 //! the per-run [`RunSummary`] records into means with 95% Student-t
 //! confidence intervals. Multi-figure invocations should batch through
 //! [`crate::campaign::Campaign`] instead, which shares one job queue
@@ -184,7 +184,7 @@ pub fn traced_run(
 pub fn run_replicated(scenario: &Scenario, reps: u32) -> Replicated {
     assert!(reps >= 1);
     let scenario_for_jobs = scenario.clone();
-    let runs = crate::pool::global().run_batch((0..reps).collect(), move |_, rep| {
+    let runs = vmprov_des::pool::global().run_batch((0..reps).collect(), move |_, rep| {
         run_once_warm(&scenario_for_jobs, rep)
     });
     Replicated {

@@ -2,14 +2,14 @@
 //! paper's evaluation (§V) — workload, policy, data center, horizons.
 
 use std::sync::Arc;
-use vmprov_cloudsim::{SimConfig, StatsMode};
+use vmprov_cloudsim::SimConfig;
 use vmprov_core::analyzer::ScheduleAnalyzer;
 use vmprov_core::estimator::{EstimatorAnalyzer, EwmaRate, SlidingWindowMle};
 use vmprov_core::modeler::{ModelerOptions, PerformanceModeler, SizingInputs};
 use vmprov_core::policy::{AdaptivePolicy, ProvisioningPolicy, StaticPolicy};
 use vmprov_core::qos::QosTargets;
 use vmprov_core::{AnalyticBackend, AnyDispatcher, LeastOutstanding, RandomDispatch, RoundRobin};
-use vmprov_des::{FelBackend, SamplerBackend, SimTime};
+use vmprov_des::{FelBackend, SimTime};
 use vmprov_workloads::scientific::{
     is_peak, OFFPEAK_JOBS_MODE, OFFPEAK_WINDOW, PEAK_INTERARRIVAL_MODE, SIZE_CLASS_MODE,
 };
@@ -123,11 +123,6 @@ pub struct Scenario {
     /// Future-event-list backend (calendar queue by default; the binary
     /// heap is kept for A/B determinism checks).
     pub fel_backend: FelBackend,
-    /// Variate-sampler backend feeding the workload's exponential and
-    /// normal draws (inverse CDF by default; ziggurat is the fast path,
-    /// A/B-checked distributionally the way the FEL backends are
-    /// checked bit-for-bit).
-    pub sampler: SamplerBackend,
     /// Intra-run shard count (`None` = the serial engine). Sharded
     /// runs are bit-identical across `Some(n)` values but follow their
     /// own deterministic semantics, so `Some(1)` is *not* the same
@@ -148,14 +143,6 @@ pub struct Scenario {
     /// scientific workload's off-peak window boundaries) — so batched
     /// cells hash apart from scalar ones in the run cache.
     pub arrival_run: u32,
-    /// Per-request stats sink ([`StatsMode::Streaming`] by default —
-    /// the historical per-completion Welford fold, bit-identical to
-    /// every pre-existing golden). [`StatsMode::Batched`] defers
-    /// samples into 64-wide batches flushed at control ticks:
-    /// statistically equivalent (counters exact, moments within float
-    /// reassociation), but a different accumulation order, so batched
-    /// cells hash apart from streaming ones in the run cache.
-    pub stats_mode: StatsMode,
 }
 
 /// The paper's MaxVMs negotiation cap used by the adaptive modeler.
@@ -202,12 +189,10 @@ impl Scenario {
             seed,
             boot_delay: 0.0,
             fel_backend: FelBackend::default(),
-            sampler: SamplerBackend::default(),
             shards: None,
             analyzer: AnalyzerSpec::Oracle,
             trace: None,
             arrival_run: 1,
-            stats_mode: StatsMode::Streaming,
         }
     }
 
@@ -222,12 +207,10 @@ impl Scenario {
             seed,
             boot_delay: 0.0,
             fel_backend: FelBackend::default(),
-            sampler: SamplerBackend::default(),
             shards: None,
             analyzer: AnalyzerSpec::Oracle,
             trace: None,
             arrival_run: 1,
-            stats_mode: StatsMode::Streaming,
         }
     }
 
@@ -251,12 +234,10 @@ impl Scenario {
             seed,
             boot_delay: 0.0,
             fel_backend: FelBackend::default(),
-            sampler: SamplerBackend::default(),
             shards: None,
             analyzer: AnalyzerSpec::Oracle,
             trace: Some(spec),
             arrival_run: REPLAY_ARRIVAL_RUN,
-            stats_mode: StatsMode::Streaming,
         }
     }
 
@@ -279,14 +260,6 @@ impl Scenario {
         self
     }
 
-    /// Same scenario on a different variate-sampler backend. Unlike the
-    /// FEL A/B, switching samplers changes the RNG draw sequence, so
-    /// results are only distributionally — not bitwise — equivalent.
-    pub fn with_sampler(mut self, sampler: SamplerBackend) -> Self {
-        self.sampler = sampler;
-        self
-    }
-
     /// Same scenario split across `n` intra-run shards (`None` = the
     /// serial engine). Results are bit-identical for every `Some(n)`,
     /// but the sharded stream differs from the serial one, so sharded
@@ -301,13 +274,6 @@ impl Scenario {
     pub fn with_arrival_run(mut self, run: u32) -> Self {
         assert!(run >= 1, "arrival_run must be at least 1");
         self.arrival_run = run;
-        self
-    }
-
-    /// Same scenario with a different per-request stats sink (see
-    /// [`Scenario::stats_mode`]).
-    pub fn with_stats_mode(mut self, mode: StatsMode) -> Self {
-        self.stats_mode = mode;
         self
     }
 
@@ -328,7 +294,6 @@ impl Scenario {
         cfg.boot_delay = self.boot_delay;
         cfg.fel_backend = self.fel_backend;
         cfg.arrival_run = self.arrival_run;
-        cfg.metrics.stats = self.stats_mode;
         cfg
     }
 
@@ -360,13 +325,11 @@ impl Scenario {
         match self.workload {
             WorkloadKind::Web => WebWorkload::new(WebConfig {
                 horizon: self.horizon,
-                sampler: self.sampler,
                 ..WebConfig::default()
             })
             .into(),
             WorkloadKind::Scientific => ScientificWorkload::new(ScientificConfig {
                 horizon: self.horizon,
-                sampler: self.sampler,
             })
             .into(),
             WorkloadKind::Trace => self.trace_spec().replay().into(),
@@ -538,7 +501,6 @@ impl vmprov_json::ToJson for Scenario {
             ("seed", Json::from(self.seed)),
             ("boot_delay", Json::from(self.boot_delay)),
             ("fel_backend", Json::from(fel)),
-            ("sampler", Json::from(self.sampler.label())),
             (
                 "shards",
                 match self.shards {
@@ -577,13 +539,6 @@ impl vmprov_json::ToJson for Scenario {
                 },
             ),
             ("arrival_run", Json::from(self.arrival_run)),
-            (
-                "stats_mode",
-                Json::from(match self.stats_mode {
-                    StatsMode::Streaming => "streaming",
-                    StatsMode::Batched => "batched",
-                }),
-            ),
         ])
     }
 }
@@ -673,17 +628,14 @@ mod tests {
             seed: _,
             boot_delay: _,
             fel_backend: _,
-            sampler: _,
             shards: _,
             analyzer: _,
             trace: _,
             arrival_run: _,
-            stats_mode: _,
         } = s.clone();
         let j = s.to_json();
         assert_eq!(j.get("seed").unwrap().as_u64(), Some(5));
         assert_eq!(j.get("workload").unwrap().as_str(), Some("web"));
-        assert_eq!(j.get("sampler").unwrap().as_str(), Some("inverse_cdf"));
         assert_eq!(j.get("shards"), Some(&vmprov_json::Json::Null));
         assert_eq!(j.get("arrival_run").unwrap().as_u64(), Some(1));
         let batched = s.clone().with_arrival_run(64).to_json();
@@ -692,14 +644,6 @@ mod tests {
             j.to_string_canonical(),
             batched.to_string_canonical(),
             "batched cells must hash apart from scalar ones"
-        );
-        assert_eq!(j.get("stats_mode").unwrap().as_str(), Some("streaming"));
-        let bstats = s.clone().with_stats_mode(StatsMode::Batched).to_json();
-        assert_eq!(bstats.get("stats_mode").unwrap().as_str(), Some("batched"));
-        assert_ne!(
-            j.to_string_canonical(),
-            bstats.to_string_canonical(),
-            "batched-stats cells must hash apart from streaming ones"
         );
         assert_eq!(j.get("analyzer").unwrap().as_str(), Some("oracle"));
         assert_eq!(j.get("trace"), Some(&vmprov_json::Json::Null));

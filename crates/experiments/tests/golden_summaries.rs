@@ -10,7 +10,7 @@
 //! `UPDATE_GOLDENS=1 cargo test -p vmprov-experiments --test golden_summaries`
 
 use std::path::PathBuf;
-use vmprov_des::{FelBackend, SamplerBackend, SimTime};
+use vmprov_des::{FelBackend, SimTime};
 use vmprov_experiments::runner::run_once;
 use vmprov_experiments::scenario::{PolicySpec, Scenario};
 
@@ -74,33 +74,6 @@ fn golden_scientific_adaptive() {
     );
 }
 
-// The ziggurat sampler consumes a different number of RNG draws than
-// the inverse-CDF path, so its runs get their own goldens: the two
-// backends are *distributionally* equivalent (KS gates in `vmprov-des`,
-// QoS-verdict parity in `backend_parity.rs`), never bitwise. The
-// inverse-CDF goldens above must keep passing untouched when the
-// ziggurat path changes, and vice versa.
-
-#[test]
-fn golden_web_static_ziggurat() {
-    check_golden(
-        Scenario::web(PolicySpec::Static(60), 1109)
-            .with_horizon(SimTime::from_secs(1800.0))
-            .with_sampler(SamplerBackend::Ziggurat),
-        "web_static60_ziggurat",
-    );
-}
-
-#[test]
-fn golden_scientific_adaptive_ziggurat() {
-    check_golden(
-        Scenario::scientific(PolicySpec::Adaptive, 2011)
-            .with_horizon(SimTime::from_hours(10.0))
-            .with_sampler(SamplerBackend::Ziggurat),
-        "scientific_adaptive_ziggurat",
-    );
-}
-
 #[test]
 fn golden_web_adaptive_mm1k() {
     // The paper-verbatim M/M/1/k backend exercises the memoized
@@ -139,22 +112,5 @@ fn golden_scientific_adaptive_batched() {
             .with_horizon(SimTime::from_hours(10.0))
             .with_arrival_run(64),
         "scientific_adaptive_batched",
-    );
-}
-
-// The batched stats sink (`StatsMode::Batched`) defers per-completion
-// Welford folds into 64-sample batches. Integer counters are exact
-// either way, but the float accumulation order differs, so batched
-// runs get their own golden — while the streaming goldens above must
-// keep passing bit-identically when the batched path changes.
-
-#[test]
-fn golden_web_adaptive_stats_batched() {
-    use vmprov_experiments::StatsMode;
-    check_golden(
-        Scenario::web(PolicySpec::Adaptive, 1109)
-            .with_horizon(SimTime::from_secs(1800.0))
-            .with_stats_mode(StatsMode::Batched),
-        "web_adaptive_stats_batched",
     );
 }

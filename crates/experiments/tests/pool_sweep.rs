@@ -6,8 +6,8 @@
 //! across pool widths 1, 2, and 4, with warm per-thread scratch reuse,
 //! and after a round trip through the run cache (see DESIGN.md §8).
 
+use vmprov_des::pool::WorkerPool;
 use vmprov_des::SimTime;
-use vmprov_experiments::pool::WorkerPool;
 use vmprov_experiments::runner::{run_once, run_once_warm};
 use vmprov_experiments::scenario::{PolicySpec, Scenario};
 use vmprov_experiments::{Campaign, RunCache};

@@ -83,3 +83,31 @@ fn repro_smoke_emits_well_formed_results() {
         assert!(curves.contains(label), "curves missing panel {label}");
     }
 }
+
+/// An oversized `--chunk` is a usage error (exit 2), not an allocation
+/// panic or abort: every chunk buffer is allocated up front.
+#[test]
+fn replay_rejects_oversized_chunk() {
+    let trace = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-smoke-chunk.csv");
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["gen-trace", "--horizon", "60", "--rate", "10", "--out"])
+        .arg(&trace)
+        .status()
+        .expect("spawn repro gen-trace");
+    assert!(status.success(), "gen-trace exited with {status}");
+    for chunk in ["18446744073709551615", "100000000000"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("replay")
+            .arg("--trace")
+            .arg(&trace)
+            .args(["--chunk", chunk])
+            .output()
+            .expect("spawn repro replay");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--chunk {chunk}: {stderr}");
+        assert!(
+            stderr.contains("--chunk must be at most"),
+            "--chunk {chunk}: unexpected message: {stderr}"
+        );
+    }
+}

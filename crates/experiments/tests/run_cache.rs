@@ -6,7 +6,7 @@
 
 use vmprov_check::{cases, Gen};
 use vmprov_core::AnalyticBackend;
-use vmprov_des::{FelBackend, SamplerBackend, SimTime};
+use vmprov_des::{FelBackend, SimTime};
 use vmprov_experiments::runner::run_once;
 use vmprov_experiments::scenario::{
     AnalyzerSpec, DispatchSpec, PolicySpec, Scenario, WorkloadKind,
@@ -81,11 +81,6 @@ fn random_scenario(g: &mut Gen) -> Scenario {
         FelBackend::Calendar
     } else {
         FelBackend::BinaryHeap
-    };
-    s.sampler = if g.chance(0.5) {
-        SamplerBackend::InverseCdf
-    } else {
-        SamplerBackend::Ziggurat
     };
     s.analyzer = match g.u32_in(0..3) {
         0 => AnalyzerSpec::Oracle,
@@ -163,11 +158,8 @@ fn any_field_perturbation_changes_the_key() {
                 "fel_backend"
             }
             8 => {
-                p.sampler = match p.sampler {
-                    SamplerBackend::InverseCdf => SamplerBackend::Ziggurat,
-                    SamplerBackend::Ziggurat => SamplerBackend::InverseCdf,
-                };
-                "sampler"
+                p.arrival_run += 1;
+                "arrival_run"
             }
             _ => {
                 p.analyzer = match p.analyzer {

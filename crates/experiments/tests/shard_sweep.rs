@@ -9,8 +9,8 @@
 //! stream and must NOT equal the sharded one — pinned here so the
 //! cache-aliasing story stays honest (see DESIGN.md §10).
 
+use vmprov_des::pool::WorkerPool;
 use vmprov_des::SimTime;
-use vmprov_experiments::pool::WorkerPool;
 use vmprov_experiments::runner::{run_once, run_once_warm};
 use vmprov_experiments::scenario::{PolicySpec, Scenario};
 

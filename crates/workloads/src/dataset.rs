@@ -385,6 +385,12 @@ impl DatasetReader for MemoryReader {
 /// batches ≈ 192 KiB, the whole ingestion footprint of a replay.
 pub const DEFAULT_CHUNK: usize = 8192;
 
+/// Largest accepted chunk: 2²⁰ batches ≈ 24 MiB, far past the point
+/// where a bigger buffer speeds anything up. Every reader allocates its
+/// chunk buffer up front, so an unchecked size from the command line
+/// would abort on allocation instead of erroring.
+pub const MAX_CHUNK: usize = 1 << 20;
+
 /// Chunks the shared scan buffers ahead of the slowest consumer: the
 /// whole fan-out holds at most `SCAN_DEPTH + 1` chunks alive (the
 /// window plus one evicted chunk a straggler may still be iterating),
@@ -691,7 +697,10 @@ impl TraceSpec {
     /// parser reads them (a hashing adapter under the buffer), so the
     /// file is opened and read exactly once.
     pub fn scan(path: &Path, chunk: usize) -> Result<TraceSpec, DatasetError> {
-        assert!(chunk >= 1, "chunk must hold at least one batch");
+        assert!(
+            (1..=MAX_CHUNK).contains(&chunk),
+            "chunk must hold 1..={MAX_CHUNK} batches"
+        );
         let mut reader = CsvReader::new(BufReader::new(HashingRead {
             inner: open_trace(path)?,
             hasher: StableHasher::new(),

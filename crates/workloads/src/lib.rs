@@ -27,7 +27,7 @@ pub mod web;
 pub use dataset::{
     generate_piecewise_csv, generate_poisson_csv, CsvReader, DatasetError, DatasetReader,
     GeneratedTrace, MemoryReader, OpenCount, ScanConsumer, ScanStats, SharedTraceScan,
-    StreamReplay, TraceSpec, DEFAULT_CHUNK, SCAN_DEPTH,
+    StreamReplay, TraceSpec, DEFAULT_CHUNK, MAX_CHUNK, SCAN_DEPTH,
 };
 pub use scientific::{scientific_service_model, ScientificConfig, ScientificWorkload};
 pub use trace::Trace;

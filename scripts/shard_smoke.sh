@@ -2,25 +2,18 @@
 # Shard determinism smoke: the figure campaign's merged RunSummary JSON
 # must be byte-identical whatever the shard count and FEL backend. Runs
 # the fig5+fig6 smoke campaign for one or more `shards:fel` cells and
-# byte-diffs every cell's figure output against the reference cell for
-# its stats mode. Since each cell equals its reference, all cells of a
-# mode are pairwise identical.
+# byte-diffs every cell's figure output against the `1:calendar`
+# reference cell. Since each cell equals the reference, all cells are
+# pairwise identical.
 #
-# usage: shard_smoke.sh [SHARDS:FEL[:ARRIVAL_RUN[:STATS]]]...
+# usage: shard_smoke.sh [SHARDS:FEL[:ARRIVAL_RUN]]...
 #   shard_smoke.sh                 # full local matrix {1,2,4}×{calendar,binary_heap}
 #                                  # plus the batched-arrival cell 4:calendar:64
-#                                  # and the batched-stats cell 4:calendar:1:batched
 #   shard_smoke.sh 4:binary_heap   # one cell (the CI matrix invocation)
 #   shard_smoke.sh 4:calendar:64   # batched arrivals (prefetch depth 64)
-#   shard_smoke.sh 4:calendar:1:batched  # deferred stats sink
 #
 # Sharded runs are bit-identical for every arrival-run depth, so batched
-# arrival cells diff against the same reference as scalar ones. The
-# stats mode is different: `batched` folds the Welford moments in a
-# different float order than `streaming`, so each stats mode gets its
-# own `1:calendar` reference cell (built on demand) — the invariant is
-# still that shard count, FEL backend, and arrival depth never change a
-# byte *within* a mode.
+# cells diff against the same 1:calendar reference as everything else.
 #
 # Leaves each cell's figure JSON under target/shard-smoke/ for the CI
 # artifact upload. Runs uncached: the point is recomputation agreeing,
@@ -38,45 +31,31 @@ OUT=target/shard-smoke
 CELLS=("$@")
 if [ ${#CELLS[@]} -eq 0 ]; then
     CELLS=(1:calendar 2:calendar 4:calendar 1:binary_heap 2:binary_heap 4:binary_heap
-           4:calendar:64 4:calendar:1:batched)
+           4:calendar:64)
 fi
 
-run_cell() { # SHARDS FEL ARRIVAL_RUN STATS DIR
+run_cell() { # SHARDS FEL ARRIVAL_RUN DIR
     cargo run "${OFFLINE[@]}" --release -p vmprov-experiments --bin repro -- \
         figures fig5 fig6 --mode smoke --no-cache --shards "$1" --fel "$2" \
-        --arrival-run "$3" --stats-mode "$4" --out "$5"
-}
-
-# Reference cell for a stats mode (1:calendar:1:$stats), built once on
-# first use so a streaming-only invocation never pays for the batched
-# reference and vice versa.
-reference_for() { # STATS
-    local dir="$OUT/s1_calendar_r1_$1"
-    if [ ! -d "$dir" ]; then
-        echo "shard_smoke.sh: reference cell 1:calendar ($1 stats)" >&2
-        # Callers capture this function's stdout as the reference path,
-        # so the build's own output must go to stderr.
-        run_cell 1 calendar 1 "$1" "$dir" >&2
-    fi
-    echo "$dir"
+        --arrival-run "$3" --out "$4"
 }
 
 rm -rf "$OUT"
+echo "shard_smoke.sh: reference cell 1:calendar" >&2
+run_cell 1 calendar 1 "$OUT/s1_calendar_r1"
 
 for cell in "${CELLS[@]}"; do
-    IFS=: read -r shards fel arun stats <<< "$cell"
+    IFS=: read -r shards fel arun <<< "$cell"
     arun="${arun:-1}"
-    stats="${stats:-streaming}"
-    ref="$(reference_for "$stats")"
-    dir="$OUT/s${shards}_${fel}_r${arun}_${stats}"
-    if [ "$dir" != "$ref" ]; then
+    dir="$OUT/s${shards}_${fel}_r${arun}"
+    if [ "$dir" != "$OUT/s1_calendar_r1" ]; then
         echo "shard_smoke.sh: cell ${cell}" >&2
-        run_cell "$shards" "$fel" "$arun" "$stats" "$dir"
+        run_cell "$shards" "$fel" "$arun" "$dir"
     fi
     for fig in fig5 fig6; do
-        if ! diff -q "$ref/$fig.json" "$dir/$fig.json" >&2; then
+        if ! diff -q "$OUT/s1_calendar_r1/$fig.json" "$dir/$fig.json" >&2; then
             echo "shard_smoke.sh: FAIL — $fig summaries at shards=$shards fel=$fel" \
-                 "arrival-run=$arun stats=$stats differ from the 1:calendar reference" >&2
+                 "arrival-run=$arun differ from the 1:calendar reference" >&2
             exit 1
         fi
     done
