@@ -521,7 +521,7 @@ fn bench_pool_dispatch(jobs: usize, runs: u32) -> Timing {
 
 /// A fully warm campaign pass: every `(scenario, rep)` job answered
 /// from the run cache. Measures the whole hit path per job — key
-/// hashing over canonical scenario JSON, the file read, `RunSummary`
+/// hashing over canonical scenario JSON, the log-record read, `RunSummary`
 /// parsing, and per-figure regrouping — which is the cost a second
 /// `repro` invocation pays instead of simulating.
 fn bench_campaign_cached(horizon: f64, runs: u32) -> Timing {

@@ -280,13 +280,21 @@ fn run_figure_campaign(args: &FigureArgs) -> (Option<Vec<Replicated>>, Option<Ve
     let mut result = campaign.run();
     let stats = result.stats.clone();
     println!(
-        "campaign: {} job(s), {} cache hit(s), {} miss(es), {} corrupt, {:.1}s\n",
+        "campaign: {} job(s), {} cache hit(s), {} miss(es), {} corrupt, {} store failure(s), {:.1}s\n",
         stats.jobs,
         stats.cache_hits,
         stats.cache_misses,
         stats.corrupt_entries,
+        stats.store_failures,
         stats.wall.as_secs_f64()
     );
+    if stats.store_failures > 0 {
+        eprintln!(
+            "warning: {} run(s) could not be stored in the run cache \
+             (read-only or full?); the next invocation re-runs them",
+            stats.store_failures
+        );
+    }
     write(
         &args.out.join("cache_stats.json"),
         &stats.to_json().to_string_pretty(),
@@ -799,9 +807,10 @@ fn replay_grid_main(args: &ReplayArgs, spec: TraceSpec, started: Instant) {
         stats.scan_waves, stats.batches_decoded, stats.trace_file_opens, stats.max_window
     );
     println!(
-        "cache: {} hit(s), {} miss(es){}",
+        "cache: {} hit(s), {} miss(es), {} store failure(s){}",
         stats.cache_hits,
         stats.cache_misses,
+        stats.store_failures,
         if cache.is_some() { "" } else { " (disabled)" }
     );
     match stats.peak_rss_kb {

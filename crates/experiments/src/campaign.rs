@@ -42,6 +42,10 @@ pub struct CampaignStats {
     /// overwritten; a subset of `cache_misses` is **not** — corrupt
     /// entries are counted here *and* as misses for hit-rate purposes).
     pub corrupt_entries: usize,
+    /// Misses whose result could not be stored (read-only or full cache
+    /// directory). The campaign still succeeds; the next one re-runs
+    /// these jobs.
+    pub store_failures: usize,
     /// Wall-clock time of [`Campaign::run`].
     pub wall: Duration,
 }
@@ -64,6 +68,7 @@ impl ToJson for CampaignStats {
             ("cache_hits", Json::from(self.cache_hits)),
             ("cache_misses", Json::from(self.cache_misses)),
             ("corrupt_entries", Json::from(self.corrupt_entries)),
+            ("store_failures", Json::from(self.store_failures)),
             ("hit_rate", Json::from(self.hit_rate())),
             ("wall_secs", Json::from(self.wall.as_secs_f64())),
         ])
@@ -132,17 +137,17 @@ impl Campaign {
         // result vector shares this layout, so per-figure regrouping
         // below is sequential chunking, not a scan per scenario.
         let mut slots: Vec<Option<RunSummary>> = Vec::with_capacity(n_jobs);
-        let mut to_run: Vec<(usize, Scenario, u32)> = Vec::new();
+        // Each job carries its cache key, computed once for the lookup
+        // and reused by the store.
+        let mut to_run: Vec<(usize, Option<u64>, Scenario, u32)> = Vec::new();
         let mut hits = 0usize;
         let mut corrupt = 0usize;
         for fig in &self.figures {
             for scenario in &fig.scenarios {
                 for rep in 0..fig.reps {
                     let slot = slots.len();
-                    let cached = self.cache.as_ref().map(|c| {
-                        let key = run_key(scenario, rep);
-                        c.lookup(key)
-                    });
+                    let key = self.cache.as_ref().map(|_| run_key(scenario, rep));
+                    let cached = self.cache.as_ref().zip(key).map(|(c, k)| c.lookup(k));
                     match cached {
                         Some(Lookup::Hit(summary)) => {
                             hits += 1;
@@ -153,7 +158,7 @@ impl Campaign {
                                 corrupt += 1;
                             }
                             slots.push(None);
-                            to_run.push((slot, scenario.clone(), rep));
+                            to_run.push((slot, key, scenario.clone(), rep));
                         }
                     }
                 }
@@ -163,14 +168,17 @@ impl Campaign {
 
         // One batch for every miss across every figure: no inter-figure
         // barrier, and workers reuse warm per-thread sim storage.
-        let fresh = pool::global().run_batch(to_run, |_, (slot, scenario, rep)| {
-            let summary = run_once_warm(&scenario, rep);
-            (slot, scenario, rep, summary)
+        let fresh = pool::global().run_batch(to_run, |_, (slot, key, scenario, rep)| {
+            (slot, key, run_once_warm(&scenario, rep))
         });
-        for (slot, scenario, rep, summary) in fresh {
-            if let Some(cache) = &self.cache {
-                // Best-effort: a full disk must not fail the campaign.
-                let _ = cache.store(run_key(&scenario, rep), &summary);
+        let mut store_failures = 0usize;
+        for (slot, key, summary) in fresh {
+            if let Some((cache, key)) = self.cache.as_ref().zip(key) {
+                // Best-effort: a full disk must not fail the campaign,
+                // but it is counted.
+                if cache.store(key, &summary).is_err() {
+                    store_failures += 1;
+                }
             }
             slots[slot] = Some(summary);
         }
@@ -200,6 +208,7 @@ impl Campaign {
                 cache_hits: hits,
                 cache_misses: misses,
                 corrupt_entries: corrupt,
+                store_failures,
                 wall: start.elapsed(),
             },
         }
@@ -276,11 +285,13 @@ mod tests {
             cache_hits: 9,
             cache_misses: 1,
             corrupt_entries: 1,
+            store_failures: 2,
             wall: Duration::from_millis(1500),
         };
         let j = stats.to_json();
         assert_eq!(j.get("jobs").unwrap().as_u64(), Some(10));
         assert_eq!(j.get("hit_rate").unwrap().as_f64(), Some(0.9));
+        assert_eq!(j.get("store_failures").unwrap().as_u64(), Some(2));
         assert_eq!(j.get("wall_secs").unwrap().as_f64(), Some(1.5));
     }
 }

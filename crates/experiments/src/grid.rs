@@ -92,6 +92,9 @@ pub struct GridStats {
     pub cache_misses: usize,
     /// Cache entries that existed but were unreadable.
     pub corrupt_entries: usize,
+    /// Computed cells whose result could not be stored (the grid still
+    /// succeeds).
+    pub store_failures: usize,
     /// Shared scans executed (1 when all misses fit one wave).
     pub scan_waves: usize,
     /// Batches decoded across all waves — `batches × scan_waves` when
@@ -119,6 +122,7 @@ impl ToJson for GridStats {
             ("cache_hits", Json::from(self.cache_hits)),
             ("cache_misses", Json::from(self.cache_misses)),
             ("corrupt_entries", Json::from(self.corrupt_entries)),
+            ("store_failures", Json::from(self.store_failures)),
             ("scan_waves", Json::from(self.scan_waves)),
             ("batches_decoded", Json::from(self.batches_decoded)),
             ("trace_file_opens", Json::from(self.trace_file_opens)),
@@ -187,14 +191,17 @@ impl ReplayGrid {
 
         // Cache pass, analyzer-major / rep-minor (the output layout).
         let mut slots: Vec<Option<(RunSummary, ReplaySource)>> = Vec::with_capacity(n_cells);
-        let mut misses: Vec<(usize, Scenario, u32)> = Vec::new();
+        // Each miss carries its cache key, computed once for the lookup
+        // and reused by the store.
+        let mut misses: Vec<(usize, Option<u64>, Scenario, u32)> = Vec::new();
         let mut hits = 0usize;
         let mut corrupt = 0usize;
         for &analyzer in &self.analyzers {
             let scenario = self.scenario_on(&spec, analyzer);
             for rep in 0..self.reps {
                 let slot = slots.len();
-                let cached = cache.map(|c| c.lookup(run_key(&scenario, rep)));
+                let key = cache.map(|_| run_key(&scenario, rep));
+                let cached = cache.zip(key).map(|(c, k)| c.lookup(k));
                 match cached {
                     Some(Lookup::Hit(summary)) => {
                         hits += 1;
@@ -205,7 +212,7 @@ impl ReplayGrid {
                             corrupt += 1;
                         }
                         slots.push(None);
-                        misses.push((slot, scenario.clone(), rep));
+                        misses.push((slot, key, scenario.clone(), rep));
                     }
                 }
             }
@@ -227,6 +234,7 @@ impl ReplayGrid {
         let mut waves = 0usize;
         let mut batches_decoded = 0u64;
         let mut max_window = 0usize;
+        let mut store_failures = 0usize;
         let mut queue = misses;
         while !queue.is_empty() {
             let rest = queue.split_off(queue.len().min(wave_cap));
@@ -237,23 +245,29 @@ impl ReplayGrid {
             let jobs: Vec<_> = wave
                 .into_iter()
                 .zip(replays)
-                .map(|((slot, scenario, rep), replay)| (slot, scenario, rep, replay))
+                .map(|((slot, key, scenario, rep), replay)| (slot, key, scenario, rep, replay))
                 .collect();
-            let run_cell = |_, (slot, scenario, rep, replay): (usize, Scenario, u32, _)| {
-                let summary =
-                    run_once_warm_with(&scenario, rep, vmprov_workloads::AnyWorkload::from(replay));
-                (slot, scenario, rep, summary)
-            };
+            let run_cell =
+                |_, (slot, key, scenario, rep, replay): (usize, Option<u64>, Scenario, u32, _)| {
+                    let summary = run_once_warm_with(
+                        &scenario,
+                        rep,
+                        vmprov_workloads::AnyWorkload::from(replay),
+                    );
+                    (slot, key, summary)
+                };
             let finished = match &pool {
                 Some(p) => p.run_batch(jobs, run_cell),
                 // ≤ 1 miss: run inline (a lone shared consumer drives
                 // its own scan cooperatively, no threads needed).
                 None => jobs.into_iter().map(|j| run_cell(0, j)).collect(),
             };
-            for (slot, scenario, rep, summary) in finished {
-                if let Some(cache) = cache {
-                    // Best-effort, exactly like the campaign.
-                    let _ = cache.store(run_key(&scenario, rep), &summary);
+            for (slot, key, summary) in finished {
+                if let Some((cache, key)) = cache.zip(key) {
+                    // Best-effort but counted, exactly like the campaign.
+                    if cache.store(key, &summary).is_err() {
+                        store_failures += 1;
+                    }
                 }
                 slots[slot] = Some((summary, miss_source));
             }
@@ -288,6 +302,7 @@ impl ReplayGrid {
                 cache_hits: hits,
                 cache_misses: misses_run,
                 corrupt_entries: corrupt,
+                store_failures,
                 scan_waves: waves,
                 batches_decoded,
                 trace_file_opens: spec.opens.get(),
@@ -400,6 +415,7 @@ mod tests {
             cache_hits: 2,
             cache_misses: 4,
             corrupt_entries: 0,
+            store_failures: 0,
             scan_waves: 1,
             batches_decoded: 100,
             trace_file_opens: 1,

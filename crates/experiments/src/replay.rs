@@ -82,8 +82,8 @@ impl ReplaySource {
 }
 
 /// Runs one replication of `scenario`, cache-first when a cache is
-/// given — the same schema-v5 content-hash keying the figure campaign
-/// uses, so re-replaying an unchanged trace costs one file read.
+/// given — the same content-hash keying the figure campaign uses, so
+/// re-replaying an unchanged trace costs one cache-record read.
 pub fn replay_once(
     scenario: &Scenario,
     rep: u32,

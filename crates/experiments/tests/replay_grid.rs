@@ -162,6 +162,7 @@ fn warm_grid_rerun_is_all_hits_and_byte_identical() {
     let cold = grid.run(Some(&cache));
     assert_eq!(cold.stats.cache_hits, 0);
     assert_eq!(cold.stats.cache_misses, 6);
+    assert_eq!(cold.stats.store_failures, 0);
     assert_eq!(cold.stats.scan_waves, 1);
 
     let warm = grid.run(Some(&cache));
@@ -185,6 +186,31 @@ fn warm_grid_rerun_is_all_hits_and_byte_identical() {
     let (summary, source) = vmprov_experiments::replay_once(&scenario, 1, Some(&cache));
     assert_eq!(source, ReplaySource::CacheHit);
     assert_eq!(summary, cold.cells[1].summary);
+}
+
+#[test]
+fn unwritable_cache_counts_store_failures_and_still_answers() {
+    let path = gen_trace("grid_unwritable.csv", 25.0, 240.0, 53);
+    let cache_dir = tmpdir().join("grid_unwritable_cache");
+    let _ = fs::remove_dir_all(&cache_dir);
+    let cache = RunCache::open(&cache_dir).expect("open cache");
+    // A directory where the log belongs makes every append fail.
+    fs::create_dir_all(cache.log_path()).expect("block the log path");
+    let grid = ReplayGrid {
+        spec: TraceSpec::scan(&path, 64).unwrap(),
+        analyzers: all_analyzers(),
+        reps: 1,
+        shards: None,
+        fel: None,
+        stats: StatsMode::Streaming,
+        seed: 23,
+        concurrency: None,
+    };
+    let outcome = grid.run(Some(&cache));
+    assert_eq!(outcome.stats.cache_misses, 3);
+    assert_eq!(outcome.stats.store_failures, 3, "every store fails");
+    assert_cells_match_single_runs(&grid, &outcome, "unwritable cache");
+    let _ = fs::remove_dir_all(&cache_dir);
 }
 
 #[test]

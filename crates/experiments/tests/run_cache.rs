@@ -2,7 +2,9 @@
 //! must be bit-identical to the simulation it stands in for, *every*
 //! result-influencing scenario field (and the replication index) must
 //! perturb the key, and rot on disk must degrade to recomputation,
-//! never to an error.
+//! never to an error. The log is shared: other handles' stores become
+//! visible, concurrent stores append whole records, and a cache that
+//! cannot be written only costs recomputation.
 
 use vmprov_check::{cases, Gen};
 use vmprov_core::AnalyticBackend;
@@ -12,6 +14,9 @@ use vmprov_experiments::scenario::{
     AnalyzerSpec, DispatchSpec, PolicySpec, Scenario, WorkloadKind,
 };
 use vmprov_experiments::{run_key, Campaign, Lookup, RunCache};
+
+/// Offset of the first record's payload: `<key:016x> <sum:016x> `.
+const PAYLOAD_START: usize = 34;
 
 fn tmp_cache(tag: &str) -> RunCache {
     let dir = std::env::temp_dir().join(format!(
@@ -197,10 +202,17 @@ fn corrupt_entry_recomputes_instead_of_failing() {
     let reference = cold_result.take(hc);
     assert_eq!(cold_result.stats.cache_misses, 2);
 
-    // Rot one entry on disk (truncated torn write).
-    let victim = cache.entry_path(run_key(&scenarios[0], 0));
-    let bytes = std::fs::read(&victim).expect("entry exists after cold pass");
-    std::fs::write(&victim, &bytes[..bytes.len() / 2]).expect("truncate entry");
+    // Rot one entry on disk: flip one payload byte of the first record
+    // (scenarios[0]'s, stored first), after the handle indexed it. An
+    // inner digit becomes another digit, so the JSON still parses as a
+    // summary and only the checksum can tell.
+    let log = cache.log_path();
+    let mut bytes = std::fs::read(&log).expect("log exists after cold pass");
+    let at = (PAYLOAD_START + 1..bytes.len())
+        .find(|&i| bytes[i].is_ascii_digit() && bytes[i - 1].is_ascii_digit())
+        .expect("the first record holds a number with two digits");
+    bytes[at] ^= 0x01;
+    std::fs::write(&log, &bytes).expect("rot the first record");
 
     let mut warm = Campaign::new(Some(cache.clone()));
     let hw = warm.add_figure(scenarios, 1);
@@ -223,5 +235,100 @@ fn corrupt_entry_recomputes_instead_of_failing() {
         )),
         Lookup::Hit(_)
     ));
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+fn tiny_summary(seed: u64) -> (Scenario, vmprov_cloudsim::RunSummary) {
+    let s = Scenario::web(PolicySpec::Static(4), seed).with_horizon(SimTime::from_secs(60.0));
+    let summary = run_once(&s, 0);
+    (s, summary)
+}
+
+#[test]
+fn independent_handles_see_each_others_stores() {
+    // Two `open`s of one directory stand in for two processes.
+    let a = tmp_cache("two_handles");
+    let b = RunCache::open(a.dir()).expect("second handle");
+    let (s1, r1) = tiny_summary(1);
+    let (s2, r2) = tiny_summary(2);
+    let (k1, k2) = (run_key(&s1, 0), run_key(&s2, 0));
+    assert!(matches!(b.lookup(k1), Lookup::Miss));
+    a.store(k1, &r1).expect("store through a");
+    match b.lookup(k1) {
+        Lookup::Hit(hit) => assert_eq!(*hit, r1),
+        other => panic!("b must see a's store, got {other:?}"),
+    }
+    b.store(k2, &r2).expect("store through b");
+    match a.lookup(k2) {
+        Lookup::Hit(hit) => assert_eq!(*hit, r2),
+        other => panic!("a must see b's store, got {other:?}"),
+    }
+    assert!(matches!(a.lookup(k1), Lookup::Hit(_)));
+    let _ = std::fs::remove_dir_all(a.dir());
+}
+
+#[test]
+fn concurrent_stores_through_clones_append_whole_records() {
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 25;
+    let cache = tmp_cache("threads");
+    let (_, summary) = tiny_summary(3);
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let cache = cache.clone();
+            let (summary, start) = (&summary, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..PER_THREAD {
+                    cache.store(t * 1000 + i, summary).expect("store");
+                }
+            });
+        }
+    });
+    let fresh = RunCache::open(cache.dir()).expect("fresh handle");
+    for t in 0..THREADS {
+        for i in 0..PER_THREAD {
+            for handle in [&cache, &fresh] {
+                match handle.lookup(t * 1000 + i) {
+                    Lookup::Hit(hit) => assert_eq!(*hit, summary),
+                    other => panic!("key {t}/{i}: expected hit, got {other:?}"),
+                }
+            }
+        }
+    }
+    let log = std::fs::read_to_string(cache.log_path()).expect("read log");
+    assert_eq!(log.lines().count() as u64, THREADS * PER_THREAD);
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+#[test]
+fn unwritable_cache_counts_store_failures_and_still_answers() {
+    let cache = tmp_cache("unwritable");
+    // A directory where the log belongs makes every append fail.
+    std::fs::create_dir_all(cache.log_path()).expect("block the log path");
+    let scenarios = vec![
+        Scenario::web(PolicySpec::Static(8), 43).with_horizon(SimTime::from_secs(120.0)),
+        Scenario::web(PolicySpec::Static(12), 43).with_horizon(SimTime::from_secs(120.0)),
+    ];
+    for pass in 0..2 {
+        let mut campaign = Campaign::new(Some(cache.clone()));
+        let h = campaign.add_figure(scenarios.clone(), 2);
+        let mut result = campaign.run();
+        assert_eq!(
+            result.stats.cache_hits, 0,
+            "pass {pass}: nothing was stored"
+        );
+        assert_eq!(result.stats.cache_misses, 4);
+        assert_eq!(
+            result.stats.store_failures, result.stats.cache_misses,
+            "pass {pass}: every store must fail and be counted"
+        );
+        for (scenario, replicated) in scenarios.iter().zip(result.take(h)) {
+            for (rep, run) in replicated.runs.iter().enumerate() {
+                assert_eq!(*run, run_once(scenario, rep as u32), "pass {pass}");
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(cache.dir());
 }

@@ -9,6 +9,9 @@
 # schema-v3 key includes the shard count — sharded runs are a different
 # deterministic stream, so aliasing them onto serial entries would
 # serve wrong results) and then hit their own entries when warm.
+# Every pass is its own process appending to one log, so the script
+# finally checks the directory holds that log alone (no per-entry or
+# temp files) with one line per cold miss: warm passes append nothing.
 # Leaves cache_stats_{cold,warm,sharded_cold,sharded_warm}.json under
 # target/cache-smoke/ for the CI artifact upload.
 set -euo pipefail
@@ -87,6 +90,28 @@ assert warm["cache_hits"] * 10 >= warm["jobs"] * 9, (
 assert warm["wall_secs"] * 2 <= cold["wall_secs"], (
     f"warm pass ({warm['wall_secs']:.3f}s) is not measurably faster than "
     f"cold ({cold['wall_secs']:.3f}s)")
+EOF
+
+python3 - "$CACHE" "$OUT/cache_stats_cold.json" "$OUT/cache_stats_sharded_cold.json" <<'EOF'
+import json
+import os
+import sys
+
+cache = sys.argv[1]
+names = sorted(os.listdir(cache))
+files = [n for n in names if os.path.isfile(os.path.join(cache, n))]
+assert not any(n.startswith(".tmp-") for n in names), (
+    f"temp files left in the cache directory: {names}")
+assert len(files) == 1 and files == names, (
+    f"the cache directory must hold exactly one log file, found {names}")
+with open(os.path.join(cache, files[0]), "rb") as log:
+    lines = log.read().count(b"\n")
+stored = sum(json.load(open(p))["cache_misses"] for p in sys.argv[2:])
+print(f"cache_smoke.sh: {files[0]} holds {lines} record(s) for {stored} "
+      f"cold miss(es)", file=sys.stderr)
+assert lines == stored, (
+    f"log holds {lines} lines, expected one per cold miss ({stored}); "
+    f"warm passes must append nothing")
 EOF
 
 echo "cache_smoke.sh: ok" >&2
